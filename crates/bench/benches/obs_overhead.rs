@@ -1,11 +1,11 @@
 //! Profiler / metrics overhead benchmarks.
 //!
-//! The phase profiler sits on every hot kernel in the workspace (SpMM,
-//! orthogonalization, preconditioner applies, reductions), so its *disabled*
-//! cost is the one that matters: a single relaxed atomic load and no clock
-//! read. These legs pin that down at two granularities — the raw guard
-//! construction in a tight loop, and an end-to-end GMRES(30) solve run with
-//! the profiler off vs on. The solve pair must stay within run-to-run noise
+//! The one instrumentation guard sits on every hot kernel in the workspace
+//! (SpMM, orthogonalization, preconditioner applies, reductions), so its
+//! *off* cost is the one that matters: a single relaxed atomic load and no
+//! clock read. These legs pin that down at two granularities — the raw
+//! guard in a tight loop at each level (off, aggregates, trace), and an
+//! end-to-end GMRES(30) solve run with the profiler off vs on. The solve pair must stay within run-to-run noise
 //! of each other; `bench_compare` gates each leg against the checked-in
 //! record in `BENCH_obs.json`.
 
@@ -13,7 +13,7 @@ use kryst_bench::harness::{black_box, Criterion};
 use kryst_bench::{criterion_group, criterion_main};
 use kryst_core::{gmres, SolveOpts};
 use kryst_dense::DMat;
-use kryst_obs::{profile, Phase, Profiler};
+use kryst_obs::{profile, Level, Phase, Profiler};
 use kryst_par::IdentityPrecond;
 use kryst_sparse::{Coo, Csr};
 
@@ -50,7 +50,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     c.bench_function("prof_timer_disabled_x1000", |b| {
         b.iter(|| {
             for _ in 0..1000 {
-                black_box(profile(Phase::Spmv));
+                drop(black_box(profile(Phase::Spmv)));
             }
         });
     });
@@ -58,7 +58,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     c.bench_function("prof_timer_enabled_x1000", |b| {
         b.iter(|| {
             for _ in 0..1000 {
-                black_box(profile(Phase::Spmv));
+                drop(black_box(profile(Phase::Spmv)));
             }
         });
     });
@@ -104,34 +104,29 @@ fn bench_obs_overhead(c: &mut Criterion) {
         });
     });
 
-    // Distributed-trace spans sit on the same hot paths as the profiler
-    // guards (collectives, halo, preconditioner applies), with the same
-    // discipline: disabled = one relaxed load and no clock read; enabled =
-    // two clock reads + a bounded-ring push. The enabled leg drains the
-    // thread ring each iteration so it measures steady-state pushes, not
-    // the full-ring drop path.
-    kryst_obs::set_trace_enabled(false);
+    // The same guard at the trace level: off = one relaxed load and no
+    // clock read; trace = the aggregates above plus a bounded-ring push from
+    // the same two clock reads. The trace leg drains the thread ring each
+    // iteration so it measures steady-state pushes, not the full-ring drop
+    // path.
+    Profiler::global().set_level(Level::Off);
     c.bench_function("trace_span_disabled_x1000", |b| {
         b.iter(|| {
             for _ in 0..1000 {
-                drop(black_box(kryst_obs::traced(
-                    kryst_obs::TraceKind::PrecondApply,
-                )));
+                drop(black_box(profile(Phase::Precond)));
             }
         });
     });
-    kryst_obs::set_trace_enabled(true);
+    Profiler::global().set_level(Level::Trace);
     c.bench_function("trace_span_enabled_x1000", |b| {
         b.iter(|| {
             for _ in 0..1000 {
-                drop(black_box(kryst_obs::traced(
-                    kryst_obs::TraceKind::PrecondApply,
-                )));
+                drop(black_box(profile(Phase::Precond)));
             }
             black_box(kryst_obs::span::drain());
         });
     });
-    kryst_obs::set_trace_enabled(false);
+    Profiler::global().set_level(Level::Off);
 }
 
 criterion_group! {

@@ -12,7 +12,7 @@
 //! algorithm on a laptop-scale grid — the comparison (recycling gains per
 //! RHS, cumulative gain, convergence curves) is what the figure shows.
 
-use kryst_bench::{print_curve, rhs_row, rule, time, traced_opts};
+use kryst_bench::{print_curve, report_profile, rhs_row, rule, time, traced_opts};
 use kryst_core::{gcrodr, gmres, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_pde::poisson::{paper_rhs_sequence, poisson2d, PAPER_NUS};
@@ -195,4 +195,5 @@ fn main() {
         1,
     );
     run_relaxed(nx / 2);
+    report_profile();
 }

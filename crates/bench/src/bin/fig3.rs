@@ -12,7 +12,7 @@
 //! refresh path (Fig. 1 lines 3–7 and 31–38) — the generalized eigenproblem
 //! with strategy A, as the artifact's command lines do.
 
-use kryst_bench::{print_curve, rhs_row, rule, time, traced_opts};
+use kryst_bench::{print_curve, report_profile, rhs_row, rule, time, traced_opts};
 use kryst_core::{gcrodr, gmres, lgmres, PrecondSide, RecycleStrategy, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_pde::elasticity::paper_sequence;
@@ -178,4 +178,5 @@ fn main() {
         "cumulative gain {:+.1}% (paper: +15.1%)",
         (cum_lg / cum_gr - 1.0) * 100.0
     );
+    report_profile();
 }

@@ -15,7 +15,7 @@
 //!    extrapolated from the measured trend. This is the DESIGN.md
 //!    substitution for the 8,192-core machine.
 
-use kryst_bench::{maxwell_oras, rule, time, traced_opts};
+use kryst_bench::{maxwell_oras, report_profile, rule, time, traced_opts};
 use kryst_core::{gmres, OrthScheme, PrecondSide, SolveOpts};
 use kryst_dense::DMat;
 use kryst_par::{CommStats, CostModel, DistOp, HaloPlan, Layout};
@@ -147,4 +147,5 @@ fn main() {
          grow mildly with N (one-level optimized interface conditions), solve\n\
          fraction grows from ~17% to ~30%, overall speedup ≈ 7 at 8× ranks."
     );
+    report_profile();
 }

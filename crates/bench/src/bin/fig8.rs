@@ -15,7 +15,7 @@
 //! The paper's best time is 7) — recycling + moderate blocks — at 4.5×;
 //! the numerically best is 8) (fewest iterations).
 
-use kryst_bench::{maxwell_oras, rule, time, traced_opts};
+use kryst_bench::{maxwell_oras, report_profile, rule, time, traced_opts};
 use kryst_core::pseudo::{self, PseudoMethod};
 use kryst_core::{gcrodr, gmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
@@ -307,4 +307,5 @@ fn main() {
         worst = worst.max((num / den).sqrt());
     }
     println!("verification: worst true relative residual of alternative 8: {worst:.3e}");
+    report_profile();
 }

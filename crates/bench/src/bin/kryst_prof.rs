@@ -343,13 +343,14 @@ fn transport_demo(dir: &Path, a: &Csr<f64>, reg: &MetricsRegistry) {
 /// attribution as `trace_*` registry gauges, and write `timeline.json` for
 /// the report.
 fn trace_demo(dir: &Path, reg: &MetricsRegistry) {
-    let was = kryst_obs::trace_enabled();
-    kryst_obs::set_trace_enabled(true);
+    let prof = kryst_obs::Profiler::global();
+    let was = prof.level();
+    prof.set_level(kryst_obs::Level::Trace);
     let res = kryst_par::run_spmd(TransportKind::Channel, CAL_RANKS, |t| {
         let tl = kryst_bench::tracedemo::skewed_workload(t, 12)?;
         Ok(tl.map(|tl| tl.encode()).unwrap_or_default())
     });
-    kryst_obs::set_trace_enabled(was);
+    prof.set_level(was);
     match res {
         Ok(run) => match kryst_obs::Timeline::decode(&run.results[0]) {
             Some(tl) => {

@@ -108,7 +108,7 @@ fn run(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    kryst_obs::set_trace_enabled(true);
+    kryst_obs::Profiler::global().set_level(kryst_obs::Level::Trace);
     let res = run_spmd(kind, nranks, |t| {
         let tl = skewed_workload(t, steps)?;
         Ok(tl.map(|tl| tl.encode()).unwrap_or_default())

@@ -10,7 +10,7 @@ pub mod harness;
 pub mod tracedemo;
 
 use kryst_core::{SolveOpts, SolveResult};
-use kryst_obs::{JsonlRecorder, Recorder};
+use kryst_obs::{JsonlRecorder, Profiler, Recorder};
 use kryst_par::CommStats;
 use kryst_pde::maxwell::{maxwell3d, MaxwellGeom, MaxwellParams};
 use kryst_pde::Problem;
@@ -25,7 +25,7 @@ use std::time::Instant;
 ///
 /// Each figure binary calls this once per solver series, so every solve in
 /// the series appends its full event stream (begin / iteration / span /
-/// precond-apply / end) to `$KRYST_TRACE_DIR/<label>.jsonl`. Solves are
+/// diag / end) to `$KRYST_TRACE_DIR/<label>.jsonl`. Solves are
 /// delimited in the file by their `solve_begin` / `solve_end` markers.
 /// An already-attached `CommStats` is kept so instrumented runs keep
 /// reading their own counters.
@@ -43,6 +43,16 @@ pub fn traced_opts(opts: &SolveOpts, label: &str) -> SolveOpts {
         recorder: Some(Arc::new(rec) as Arc<dyn Recorder>),
         stats: opts.stats.clone().or_else(|| Some(CommStats::new_shared())),
         ..opts.clone()
+    }
+}
+
+/// Print the global profiler's per-phase table to stderr when `KRYST_PROF`
+/// turned it on — called at the end of every figure binary, so any of them
+/// produces its phase profile when that one knob is set.
+pub fn report_profile() {
+    let prof = Profiler::global();
+    if prof.enabled() {
+        eprint!("{}", prof.snapshot().to_text());
     }
 }
 

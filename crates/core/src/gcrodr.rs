@@ -27,7 +27,7 @@ use crate::trace::SolveTracer;
 use kryst_dense::eig::{self, EigDecomp};
 use kryst_dense::qr::HouseholderQr;
 use kryst_dense::{blas, chol, tri, DMat};
-use kryst_obs::{profile, DiagKind, Phase, SpanKind};
+use kryst_obs::{DiagKind, SpanKind};
 use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
 
@@ -116,8 +116,7 @@ pub fn solve<S: Scalar>(
     }
 
     // ---- Lines 2–9: reuse a previous recycle space. --------------------
-    let setup_probe = tracer.span_start();
-    let setup_timer = profile(Phase::RecycleSetup);
+    let setup_probe = tracer.span_start(SpanKind::Setup);
     let mut space: Option<RecycleSpace<S>> = None;
     if let Some(mut rec) = ctx.recycle.take() {
         if rec.u.nrows() == n && rec.u.ncols() >= 1 {
@@ -157,12 +156,11 @@ pub fn solve<S: Scalar>(
             space = Some(rec);
         }
     }
-    drop(setup_timer);
-    tracer.span_end(setup_probe, SpanKind::Setup, 0);
+    tracer.span_end(setup_probe, 0);
 
     // ---- Lines 10–21: first cycle is plain (block) GMRES. ---------------
     if space.is_none() {
-        let cyc_probe = tracer.span_start();
+        let cyc_probe = tracer.span_start(SpanKind::Cycle);
         let mut arn = BlockArnoldi::new(a, &mode, m, p, opts.orth, None, stats)
             .with_path(opts.ortho)
             .with_workspace(std::mem::take(&mut ws));
@@ -189,13 +187,13 @@ pub fn solve<S: Scalar>(
                 break;
             }
         }
-        tracer.span_end(cyc_probe, SpanKind::Cycle, cycle);
+        tracer.span_end(cyc_probe, cycle);
         let y = arn.solve_y();
         arn.update_solution(&y, x);
         ws.put(r);
         r = mode.residual_ws(a, b, x, &mut ws);
         // Lines 16–20: harmonic Ritz via eq. (2), then C/U extraction.
-        let eig_probe = tracer.span_start();
+        let eig_probe = tracer.span_start(SpanKind::Eigensolve);
         let j = arn.iterations();
         if j >= 1 {
             let kc = kc_target.min(j * p.max(1)).max(1);
@@ -242,7 +240,7 @@ pub fn solve<S: Scalar>(
                 space = Some(RecycleSpace { u, c });
             }
         }
-        tracer.span_end(eig_probe, SpanKind::Eigensolve, cycle);
+        tracer.span_end(eig_probe, cycle);
         ws = arn.into_workspace();
         cycle += 1;
         let _ = done;
@@ -277,7 +275,7 @@ pub fn solve<S: Scalar>(
         let kc = rec.u.ncols();
         let k_blocks = kc.div_ceil(p);
         let m_inner = (m - k_blocks.min(m - 1)).max(1);
-        let cyc_probe = tracer.span_start();
+        let cyc_probe = tracer.span_start(SpanKind::Cycle);
         let mut arn = BlockArnoldi::new(a, &mode, m_inner, p, opts.orth, Some(&rec.c), stats)
             .with_path(opts.ortho)
             .with_workspace(std::mem::take(&mut ws));
@@ -304,9 +302,9 @@ pub fn solve<S: Scalar>(
                 break;
             }
         }
-        tracer.span_end(cyc_probe, SpanKind::Cycle, cycle);
+        tracer.span_end(cyc_probe, cycle);
         // Lines 27–29: solution update with both U and Z contributions.
-        let restart_probe = tracer.span_start();
+        let restart_probe = tracer.span_start(SpanKind::Restart);
         let y = arn.solve_y();
         let cr = blas::adjoint_times(&rec.c, &r);
         if let Some(st) = stats {
@@ -334,7 +332,7 @@ pub fn solve<S: Scalar>(
         arn.update_solution(&y, x);
         ws.put(r);
         r = mode.residual_ws(a, b, x, &mut ws);
-        tracer.span_end(restart_probe, SpanKind::Restart, cycle);
+        tracer.span_end(restart_probe, cycle);
         let rn: Vec<f64> = r.col_norms().iter().map(|v| v.to_f64()).collect();
         // Convergence is decided on the TRUE residual; the in-cycle estimate
         // (`done`) only ends the cycle early.
@@ -355,13 +353,11 @@ pub fn solve<S: Scalar>(
                 p,
             };
             ws = arn.into_workspace();
-            let refresh_probe = tracer.span_start();
-            let refresh_timer = profile(Phase::RecycleSetup);
+            let refresh_probe = tracer.span_start(SpanKind::RecycleRefresh);
             space = Some(refresh_recycle_space(
                 rec, parts, kc, opts, stats, &tracer, cycle,
             ));
-            drop(refresh_timer);
-            tracer.span_end(refresh_probe, SpanKind::RecycleRefresh, cycle);
+            tracer.span_end(refresh_probe, cycle);
         } else {
             ws = arn.into_workspace();
             space = Some(rec);
@@ -466,10 +462,10 @@ fn refresh_recycle_space<S: Scalar>(
             gtop.adjoint()
         }
     };
-    let eig_probe = tracer.span_start();
+    let eig_probe = tracer.span_start(SpanKind::Eigensolve);
     let decomp = eig::eig_generalized(&t, &w);
     let pk = select_smallest::<S>(&decomp, kc);
-    tracer.span_end(eig_probe, SpanKind::Eigensolve, cycle);
+    tracer.span_end(eig_probe, cycle);
     if pk.ncols() == 0 {
         return rec;
     }

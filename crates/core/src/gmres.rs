@@ -62,7 +62,7 @@ pub fn solve<S: Scalar>(
 
     let mut cycle = 0usize;
     while iters < opts.max_iters {
-        let cyc = tracer.span_start();
+        let cyc = tracer.span_start(SpanKind::Cycle);
         let mut arn = BlockArnoldi::new(a, &mode, m, p, opts.orth, None, opts.stats.as_deref())
             .with_path(opts.ortho)
             .with_workspace(std::mem::take(&mut ws));
@@ -92,15 +92,15 @@ pub fn solve<S: Scalar>(
                 break;
             }
         }
-        tracer.span_end(cyc, SpanKind::Cycle, cycle);
+        tracer.span_end(cyc, cycle);
         // Apply the correction, recompute the true residual.
-        let restart = tracer.span_start();
+        let restart = tracer.span_start(SpanKind::Restart);
         let y = arn.solve_y();
         arn.update_solution(&y, x);
         ws = arn.into_workspace();
         ws.put(r);
         r = mode.residual_ws(a, b, x, &mut ws);
-        tracer.span_end(restart, SpanKind::Restart, cycle);
+        tracer.span_end(restart, cycle);
         cycle += 1;
         let rn: Vec<f64> = r.col_norms().iter().map(|v| v.to_f64()).collect();
         if !any_above(&rn, &bnorms, opts.rtol) {

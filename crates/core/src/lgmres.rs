@@ -50,7 +50,7 @@ pub fn solve<S: Scalar>(
             converged = true;
             break;
         }
-        let cyc = tracer.span_start();
+        let cyc = tracer.span_start(SpanKind::Cycle);
         // Arnoldi phase: m−k steps on the current residual.
         let mut arn = BlockArnoldi::new(
             a,
@@ -82,12 +82,12 @@ pub fn solve<S: Scalar>(
                 arn.update_solution(&y, x);
                 ws = arn.into_workspace();
                 converged = true;
-                tracer.span_end(cyc, SpanKind::Cycle, cycle);
+                tracer.span_end(cyc, cycle);
                 break 'outer;
             }
         }
-        tracer.span_end(cyc, SpanKind::Cycle, cycle);
-        let restart_probe = tracer.span_start();
+        tracer.span_end(cyc, cycle);
+        let restart_probe = tracer.span_start(SpanKind::Restart);
         // Augmented minimization: directions D = [Z_arnoldi, z_prev…],
         // images G = [V·H̄, A·z_prev…]; minimize ‖r − G·y‖ exactly.
         let q = aug.len();
@@ -162,7 +162,7 @@ pub fn solve<S: Scalar>(
             azsc.scale(inv);
             aug.push_back((zsc, azsc));
         }
-        tracer.span_end(restart_probe, SpanKind::Restart, cycle);
+        tracer.span_end(restart_probe, cycle);
         cycle += 1;
         if rel <= opts.rtol {
             converged = true;

@@ -18,16 +18,19 @@
 //! 3. **Spans.** Phases (setup / restart / recycle-refresh / eigensolve) are
 //!    measured with local snapshots that do not advance the iteration
 //!    interval, so span deltas overlay the iteration stream without
-//!    perturbing it.
+//!    perturbing it. Setup, refresh, and eigensolve spans also hold the
+//!    `recycle_setup` profiler guard, and the work between iteration events
+//!    holds the `iteration` guard, so the profiler and the distributed
+//!    trace see the same phase split.
 //!
-//! With no recorder (or a disabled one, e.g. `NullRecorder`) the tracer
-//! skips event construction entirely: per iteration it costs one `Option`
-//! check beyond the history push the solvers always did.
+//! With no recorder (`SolveOpts::recorder: None`) the tracer skips event
+//! construction entirely: per iteration it costs one `Option` check and one
+//! disabled profiler guard beyond the history push the solvers always did.
 
 use crate::opts::SolveOpts;
 use kryst_obs::{
-    DiagEvent, DiagKind, Event, IterationEvent, Recorder, SolveEndEvent, SpanEvent, SpanKind,
-    StagnationDetector,
+    profile, DiagEvent, DiagKind, Event, IterationEvent, Phase, PhaseTimer, Recorder,
+    SolveEndEvent, SpanEvent, SpanKind, StagnationDetector,
 };
 use kryst_par::{CommInterval, CommSnapshot};
 use std::cell::RefCell;
@@ -36,8 +39,24 @@ use std::time::Instant;
 
 /// Start marker of a [`SolveTracer`] span (see [`SolveTracer::span_start`]).
 pub struct SpanProbe {
+    kind: SpanKind,
     t: Instant,
     snap: CommSnapshot,
+    /// The span phase's profiler guard, closed by [`SolveTracer::span_end`].
+    guard: Option<PhaseTimer<'static>>,
+}
+
+/// The profiler phase a solve span is charged to: recycle-space setup, its
+/// refresh, and the deflation eigensolve are `recycle_setup`; cycles and
+/// restarts contain (or sit between) iterations and are left to the phases
+/// inside them.
+fn span_phase(kind: SpanKind) -> Option<Phase> {
+    match kind {
+        SpanKind::Setup | SpanKind::RecycleRefresh | SpanKind::Eigensolve => {
+            Some(Phase::RecycleSetup)
+        }
+        SpanKind::Cycle | SpanKind::Restart => None,
+    }
 }
 
 /// Per-solve event emitter (see module docs).
@@ -58,9 +77,9 @@ pub struct SolveTracer {
     pending_diags: RefCell<Vec<DiagEvent>>,
     stagnation: StagnationDetector,
     history: Vec<Vec<f64>>,
-    /// Open distributed-trace span covering the work leading to the next
-    /// iteration event (see `kryst_obs::span`); `None` when tracing is off.
-    iter_span: Option<kryst_obs::span::OpenSpan>,
+    /// `iteration` profiler guard covering the work leading to the next
+    /// iteration event.
+    iter_guard: Option<PhaseTimer<'static>>,
 }
 
 impl SolveTracer {
@@ -73,7 +92,7 @@ impl SolveTracer {
         nrows: usize,
         nrhs: usize,
     ) -> Self {
-        let rec = opts.recorder.as_ref().filter(|r| r.enabled()).cloned();
+        let rec = opts.recorder.clone();
         let interval = CommInterval::start(opts.stats.clone());
         let base = interval.now();
         if let Some(r) = &rec {
@@ -99,7 +118,7 @@ impl SolveTracer {
             pending_diags: RefCell::new(Vec::new()),
             stagnation: StagnationDetector::default_solver(),
             history: Vec::new(),
-            iter_span: kryst_obs::span::begin(kryst_obs::span::TraceKind::Iteration),
+            iter_guard: Some(profile(Phase::Iteration)),
         }
     }
 
@@ -119,11 +138,13 @@ impl SolveTracer {
         orth_backend: &'static str,
         breakdown_rank: Option<usize>,
     ) {
-        // Rotate the per-rank trace span: close the one covering this
-        // iteration's work, open the next. One relaxed load when tracing is
-        // off (both calls are no-ops), so results stay bit-identical.
-        kryst_obs::span::end(self.iter_span.take(), 0, 0, self.history.len() as u64);
-        self.iter_span = kryst_obs::span::begin(kryst_obs::span::TraceKind::Iteration);
+        // Rotate the iteration guard: close the one covering this
+        // iteration's work, then open the next (in that order, so guards
+        // nest). One relaxed load each when the profiler is off.
+        if let Some(mut g) = self.iter_guard.take() {
+            g.set_detail(self.history.len() as u64);
+        }
+        self.iter_guard = Some(profile(Phase::Iteration));
         if let Some(rec) = &self.rec {
             let comm = self.interval.take().to_delta();
             let now = Instant::now();
@@ -193,46 +214,57 @@ impl SolveTracer {
         }
     }
 
-    /// Begin a span. Cheap when not recording.
-    pub fn span_start(&self) -> SpanProbe {
-        if self.rec.is_some() {
-            SpanProbe {
-                t: Instant::now(),
-                snap: self.interval.now(),
-            }
-        } else {
-            SpanProbe {
-                t: self.t0,
-                snap: CommSnapshot::default(),
-            }
+    /// Begin a span of `kind`, opening its profiler phase (see
+    /// [`SpanProbe`]). Cheap when neither recording nor profiling.
+    pub fn span_start(&self, kind: SpanKind) -> SpanProbe {
+        let guard = span_phase(kind).map(profile);
+        // The event's wall time starts at the guard's own entry instant.
+        let (t, snap) = match &self.rec {
+            Some(_) => (
+                guard
+                    .as_ref()
+                    .and_then(PhaseTimer::started)
+                    .unwrap_or_else(Instant::now),
+                self.interval.now(),
+            ),
+            None => (self.t0, CommSnapshot::default()),
+        };
+        SpanProbe {
+            kind,
+            t,
+            snap,
+            guard,
         }
     }
 
-    /// End a span started with [`SolveTracer::span_start`], emitting a
-    /// [`SpanEvent`] of `kind`. Span deltas use local snapshots and do not
-    /// advance the iteration interval.
-    pub fn span_end(&self, probe: SpanProbe, kind: SpanKind, cycle: usize) {
+    /// End a span started with [`SolveTracer::span_start`], emitting its
+    /// [`SpanEvent`] and then closing its profiler phase. Span deltas use
+    /// local snapshots and do not advance the iteration interval.
+    pub fn span_end(&self, probe: SpanProbe, cycle: usize) {
         if let Some(r) = &self.rec {
             let comm = self.interval.now().since(&probe.snap).to_delta();
             r.record(&Event::Span(SpanEvent {
                 solver: self.solver,
                 system_index: self.system_index,
-                kind,
+                kind: probe.kind,
                 cycle,
                 comm,
                 wall_ns: probe.t.elapsed().as_nanos() as u64,
             }));
         }
+        drop(probe.guard);
     }
 
     /// Finish the solve: fold the trailing communication into the last
     /// iteration event, flush it, and emit `SolveEnd`. Returns the history
     /// for [`crate::SolveResult`].
     pub fn finish(mut self, converged: bool, final_relres: &[f64]) -> Vec<Vec<f64>> {
-        // The span opened after the last iteration covers only trailing
-        // work, not an iteration — drop it unrecorded so span counts equal
-        // iteration counts.
-        self.iter_span = None;
+        // The guard opened after the last iteration covers only trailing
+        // work, not an iteration — discard it so span counts equal iteration
+        // counts.
+        if let Some(g) = self.iter_guard.take() {
+            g.discard();
+        }
         if let Some(r) = self.rec.take() {
             let tail = self.interval.take().to_delta();
             let now = Instant::now();
@@ -368,8 +400,8 @@ mod tests {
         let mut tr = SolveTracer::begin(&opts, "test", 0, 10, 1);
         assert!(!tr.enabled());
         tr.iteration(0, 0, vec![1.0], "mgs", None);
-        let probe = tr.span_start();
-        tr.span_end(probe, SpanKind::Setup, 0);
+        let probe = tr.span_start(SpanKind::Setup);
+        tr.span_end(probe, 0);
         let h = tr.finish(false, &[1.0]);
         assert_eq!(h, vec![vec![1.0]]);
     }
@@ -384,9 +416,9 @@ mod tests {
             ..SolveOpts::default()
         };
         let mut tr = SolveTracer::begin(&opts, "test", 0, 10, 1);
-        let probe = tr.span_start();
+        let probe = tr.span_start(SpanKind::Setup);
         stats.record_reductions(5, 40);
-        tr.span_end(probe, SpanKind::Setup, 0);
+        tr.span_end(probe, 0);
         tr.iteration(0, 0, vec![0.1], "cholqr", None);
         let _ = tr.finish(true, &[0.1]);
         let events = ring.events();

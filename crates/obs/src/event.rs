@@ -135,32 +135,6 @@ pub struct SpanEvent {
     pub wall_ns: u64,
 }
 
-/// One preconditioner application (AMG V-cycle, Schwarz apply, …).
-#[derive(Debug, Clone)]
-pub struct PrecondApplyEvent {
-    /// Preconditioner kind: `"amg-vcycle"`, `"schwarz-asm"`, ….
-    pub kind: &'static str,
-    /// Number of right-hand-side columns in the application.
-    pub cols: usize,
-    /// Structure size: AMG levels or Schwarz subdomains.
-    pub detail: usize,
-    /// Wall-clock nanoseconds of the application.
-    pub wall_ns: u64,
-}
-
-/// One halo exchange of a distributed operator application.
-#[derive(Debug, Clone)]
-pub struct HaloEvent {
-    /// Point-to-point messages exchanged.
-    pub messages: u64,
-    /// Total payload bytes.
-    pub bytes: u64,
-    /// Right-hand-side columns moved.
-    pub cols: usize,
-    /// Wall-clock nanoseconds of the exchange + local SpMM.
-    pub wall_ns: u64,
-}
-
 /// What a [`DiagEvent`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiagKind {
@@ -262,10 +236,6 @@ pub enum Event {
     Iteration(IterationEvent),
     /// A timed solve phase.
     Span(SpanEvent),
-    /// A preconditioner application.
-    PrecondApply(PrecondApplyEvent),
-    /// A halo exchange.
-    Halo(HaloEvent),
     /// A convergence-health diagnostic.
     Diag(DiagEvent),
     /// A solve finished.

@@ -60,7 +60,7 @@ pub fn chrome_trace(tl: &Timeline) -> String {
         let off = tl.offsets_ns.get(i).copied().unwrap_or(0);
         for sp in &s.spans {
             let start = sp.start_ns as i64 + off;
-            let mut e = event_base(sp.kind.name(), "X", s.rank, us(start));
+            let mut e = event_base(&sp.kind.name(), "X", s.rank, us(start));
             e.push(("dur", JsonValue::Num(sp.dur_ns() as f64 / 1e3)));
             let mut args = vec![
                 ("bytes", JsonValue::Num(sp.bytes as f64)),
@@ -123,7 +123,8 @@ pub fn chrome_trace(tl: &Timeline) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{TraceKind, TraceSpan};
+    use crate::profiler::Phase;
+    use crate::span::TraceSpan;
     use crate::timeline::RankStream;
 
     fn tl() -> Timeline {
@@ -132,7 +133,7 @@ mod tests {
             dropped: 0,
             spans: vec![
                 TraceSpan {
-                    kind: TraceKind::Reduction,
+                    kind: Phase::Reduction,
                     seq: 0,
                     start_ns: start,
                     end_ns: start + 1000,
@@ -141,7 +142,7 @@ mod tests {
                     detail: 2,
                 },
                 TraceSpan {
-                    kind: TraceKind::PrecondApply,
+                    kind: Phase::Precond,
                     seq: NO_SEQ,
                     start_ns: start + 1500,
                     end_ns: start + 2000,

@@ -60,20 +60,6 @@ pub fn event_to_json(ev: &Event) -> String {
             push_comm_fields(&mut s, &sp.comm);
             let _ = write!(s, ",\"wall_ns\":{}}}", sp.wall_ns);
         }
-        Event::PrecondApply(pa) => {
-            let _ = write!(
-                s,
-                "{{\"type\":\"precond_apply\",\"kind\":\"{}\",\"cols\":{},\"detail\":{},\"wall_ns\":{}}}",
-                pa.kind, pa.cols, pa.detail, pa.wall_ns
-            );
-        }
-        Event::Halo(h) => {
-            let _ = write!(
-                s,
-                "{{\"type\":\"halo\",\"messages\":{},\"bytes\":{},\"cols\":{},\"wall_ns\":{}}}",
-                h.messages, h.bytes, h.cols, h.wall_ns
-            );
-        }
         Event::Diag(d) => {
             let _ = write!(
                 s,

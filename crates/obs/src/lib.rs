@@ -8,11 +8,10 @@
 //!
 //! * [`event::Event`] — typed events: one [`event::IterationEvent`] per
 //!   (block) iteration carrying exact communication **deltas**, solve-level
-//!   spans (setup / restart / recycle-refresh / eigensolve), preconditioner
-//!   applications, halo exchanges, and solve begin/end markers;
-//! * [`recorder::Recorder`] — the pluggable sink trait. The
-//!   [`recorder::NullRecorder`] reports `enabled() == false` so the hot
-//!   path skips event construction entirely; the
+//!   spans (setup / restart / recycle-refresh / eigensolve), convergence
+//!   diagnostics, and solve begin/end markers;
+//! * [`recorder::Recorder`] — the pluggable sink trait, attached per solve
+//!   through `SolveOpts::recorder` (`None` is the one "off"). The
 //!   [`recorder::RingRecorder`] buffers events in memory for tests; the
 //!   [`recorder::JsonlRecorder`] streams JSON-lines traces for the bench
 //!   binaries;
@@ -28,13 +27,15 @@
 //! the trailing work after the last iteration is folded into that last
 //! event by the emitting solver.
 //!
-//! On top of the event stream sit three observability subsystems:
+//! On top of the event stream sit the observability subsystems:
 //!
-//! * [`profiler`] — a phase-attributed wall-clock profiler ([`Phase`],
-//!   [`Profiler`], the [`profile`] guard) answering *where local time
-//!   goes* with per-phase count/total/min/max and log-bucketed latency
-//!   histograms; near-free when disabled, so it can stay wired into every
-//!   kernel;
+//! * [`profiler`] — the one instrumentation primitive. Every instrumented
+//!   kernel holds a single [`profile`] guard (collective sites use
+//!   [`profile_edge`]) under one process-global level knob, `KRYST_PROF`:
+//!   off (one relaxed load, no clock read), `1` (per-phase aggregates of
+//!   **exclusive** wall time — nested guards are subtracted from their
+//!   parent, so phase totals add up), or `trace` (aggregates plus
+//!   distributed trace spans fed from the same clock pair);
 //! * [`metrics`] — a named counter/gauge/histogram registry with JSON
 //!   snapshots and plain-text exposition, the aggregation point for
 //!   per-rank communication imbalance and report glue;
@@ -44,9 +45,9 @@
 //! * [`wire`] — wire-level transport counters ([`WireStats`]): messages,
 //!   payload bytes, and per-rank send/recv time as a backend actually put
 //!   them on the wire, the measurement side of the cost-model calibration;
-//! * [`span`] / [`timeline`] / [`export`] — distributed tracing: bounded
-//!   per-rank span rings with a monotonic local clock plus a
-//!   collective-edge logical clock, the rank-0 merge into one rank×time
+//! * [`span`] / [`timeline`] / [`export`] — distributed tracing: the bounded
+//!   per-rank span rings the trace level fills (monotonic local clock plus
+//!   a collective-edge logical clock), the rank-0 merge into one rank×time
 //!   [`Timeline`] with straggler attribution and reduction-skew
 //!   decomposition, and the Chrome-trace/Perfetto JSON exporter.
 
@@ -64,14 +65,15 @@ pub mod wire;
 
 pub use diag::StagnationDetector;
 pub use event::{
-    CommDelta, DiagEvent, DiagKind, Event, HaloEvent, IterationEvent, PrecondApplyEvent,
-    SolveEndEvent, SpanEvent, SpanKind,
+    CommDelta, DiagEvent, DiagKind, Event, IterationEvent, SolveEndEvent, SpanEvent, SpanKind,
 };
 pub use export::chrome_trace;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use profiler::{profile, Phase, PhaseStats, PhaseTimer, ProfileSnapshot, Profiler};
-pub use recorder::{JsonlRecorder, NullRecorder, Recorder, RingRecorder, TeeRecorder};
-pub use span::{set_trace_enabled, trace_enabled, traced, TraceKind, TraceSpan};
+pub use profiler::{
+    profile, profile_edge, Level, Phase, PhaseStats, PhaseTimer, ProfileSnapshot, Profiler,
+};
+pub use recorder::{JsonlRecorder, Recorder, RingRecorder};
+pub use span::TraceSpan;
 pub use timeline::{ImbalanceReport, RankStream, Timeline};
 pub use view::{cumulative_comm, diags_of, history, iteration_events, spans_of};
 pub use wire::{WireSnapshot, WireStats};

@@ -1,22 +1,27 @@
-//! Phase-attributed wall-clock profiler.
+//! Phase-attributed wall-clock profiler — the one instrumentation primitive.
 //!
-//! The profiler answers "where does local time go" with the same phase
-//! vocabulary the paper uses for its breakdown figures: sparse mat-vec,
-//! halo exchange, orthogonalization Gram work, reductions, preconditioner
-//! application (per AMG level), small dense kernels, and recycle-space
-//! setup. It is deliberately minimal:
+//! The profiler answers "where does local time go" with the phase
+//! vocabulary of the paper's breakdown figures. Every instrumented site
+//! holds exactly one [`profile`] guard (collective sites: [`profile_edge`]),
+//! and that guard feeds both observability sinks from one clock pair:
 //!
-//! * **Thread-safe and lock-free** — every slot is a handful of relaxed
-//!   atomics, so concurrent workers can record without contention.
-//! * **Near-zero disabled cost** — the hot path is one relaxed bool load;
-//!   no `Instant::now()` call is made when disabled, so enabling the
-//!   profiler is the only thing that touches the clock. Because solver
-//!   traces never include profiler state, golden traces stay bit-identical
-//!   whether profiling is on or off.
-//! * **Monotonic clock** — timings come from [`std::time::Instant`].
+//! * **One level knob**, `KRYST_PROF` ([`Level`]): `1` for aggregates,
+//!   `trace` for aggregates plus distributed trace spans, off otherwise.
+//!   When off, entering a guard is one relaxed load — no clock read, no
+//!   thread-local access — and golden traces are bit-identical at every
+//!   level because solver results never read profiler state.
+//! * **Exclusive time.** A guard records its elapsed time *minus* the guards
+//!   nested inside it on the same thread, so phase totals partition the
+//!   instrumented wall time (an AMG level excludes the coarser levels; a
+//!   GCRO-DR eigensolve under `recycle_setup` excludes its LU/QR/eig
+//!   kernels, which land in `small_dense`). Guards close in LIFO order on
+//!   their thread, as RAII scoping gives.
+//! * **Spans from the same clocks.** At the trace level the closing guard
+//!   also pushes a [`crate::span::TraceSpan`] into the thread's span ring.
+//! * **Lock-free aggregates** — each slot is a handful of relaxed atomics.
 //!
-//! Use [`profile`] for the global instance (enabled via `KRYST_PROF=1`),
-//! or carry an explicit [`Profiler`] for isolated measurements:
+//! Use [`profile`] for the global instance, or carry an explicit
+//! [`Profiler`] for isolated measurements:
 //!
 //! ```
 //! use kryst_obs::profiler::{Phase, Profiler};
@@ -28,7 +33,11 @@
 //! assert_eq!(prof.snapshot().phase(Phase::Spmv).unwrap().count, 1);
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::span::{self, NO_SEQ};
+use crate::wire::WireStats;
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -40,9 +49,14 @@ pub const HIST_BUCKETS: usize = 32;
 /// fold into the last per-level slot.
 pub const MAX_PRECOND_LEVELS: usize = 8;
 
-const NUM_SLOTS: usize = 11 + MAX_PRECOND_LEVELS;
+/// Slots before the per-level ones (one per named [`Phase`] variant).
+const NAMED_SLOTS: usize = 16;
 
-/// A solver phase the profiler attributes time to.
+/// Total number of phase slots (and span kind codes).
+pub const NUM_SLOTS: usize = NAMED_SLOTS + MAX_PRECOND_LEVELS;
+
+/// A solver phase the profiler attributes time to — also the kind of every
+/// distributed trace span.
 ///
 /// The named variants match the paper-style breakdown table; AMG V-cycle
 /// work is additionally attributed per level via [`Phase::PrecondLevel`].
@@ -50,39 +64,57 @@ const NUM_SLOTS: usize = 11 + MAX_PRECOND_LEVELS;
 pub enum Phase {
     /// Sparse matrix-(block-)vector products.
     Spmv,
-    /// Halo exchange accounting and boundary-row compute.
+    /// Halo exchange accounting and boundary-row compute; on a transport,
+    /// one exchange (span `detail` = scalar entries received).
     Halo,
     /// Block orthogonalization Gram products and updates.
     OrthGram,
-    /// Global reduction work (all-reduce bodies, projected-op dots).
+    /// Global reduction work: all-reduce bodies (span `detail` = butterfly
+    /// stage count) and projected-op dots.
     Reduction,
     /// Preconditioner application (whole apply).
     Precond,
     /// Small dense kernels: eigensolves, QR/LU factorizations.
     SmallDense,
-    /// Recycle-space construction/refresh in GCRO-DR.
+    /// Recycle-space construction/refresh in GCRO-DR: solve setup, the
+    /// recycle refresh, and the deflation eigensolve.
     RecycleSetup,
     /// Matrix-free (stencil) operator applies — the zero-index-streaming
     /// alternative to [`Phase::Spmv`].
     SpmvMf,
-    /// Low-precision preconditioner sweeps (the f32-storage portion of an
-    /// apply; nested inside [`Phase::Precond`]).
+    /// Low-precision (f32-storage) preconditioner applies, in place of
+    /// [`Phase::Precond`].
     PrecondLp,
-    /// Split-phase reduction work (`ireduce_start`/`finish` bodies and the
-    /// pipelined accounting around them) — the portion of reduction latency
-    /// a pipelined iteration *hides*; exposed latency stays under
-    /// [`Phase::Reduction`].
+    /// Split-phase reduction: the whole `ireduce_start`→`finish` window,
+    /// less the work nested inside it (span `detail` = stage count). The
+    /// portion of reduction latency a pipelined iteration *hides*; exposed
+    /// latency stays under [`Phase::Reduction`].
     ReductionOverlap,
-    /// Agglomerated AMG coarse solve: the coarse-grid direct solve executed
-    /// on a rank subset (plus the modeled gather/scatter around it).
+    /// Agglomerated AMG coarse solve: the coarse-grid direct solve of an
+    /// apply whose agglomeration policy fired (its transport round trip is
+    /// the three `Coarse*` stages below).
     CoarseAgglom,
+    /// One solver (block) iteration's Krylov-layer work not claimed by a
+    /// nested phase (span `detail` = iteration index).
+    Iteration,
+    /// A layout redistribution (the coarse-agglomeration gather/scatter
+    /// primitive; span `detail` = rows received).
+    Redistribute,
+    /// Agglomerated coarse solve: gather onto the subset.
+    CoarseGather,
+    /// Agglomerated coarse solve: the subset direct solve.
+    CoarseSolve,
+    /// Agglomerated coarse solve: scatter back to all ranks.
+    CoarseScatter,
     /// Per-level AMG cycle work (smoother + residual/transfer at level `l`).
     PrecondLevel(usize),
 }
 
 impl Phase {
-    fn slot(self) -> usize {
-        match self {
+    /// Stable slot code: the profiler slot index and the span kind code of
+    /// the flat/JSON trace encodings.
+    pub fn code(self) -> u8 {
+        (match self {
             Phase::Spmv => 0,
             Phase::Halo => 1,
             Phase::OrthGram => 2,
@@ -94,12 +126,18 @@ impl Phase {
             Phase::PrecondLp => 8,
             Phase::ReductionOverlap => 9,
             Phase::CoarseAgglom => 10,
-            Phase::PrecondLevel(l) => 11 + l.min(MAX_PRECOND_LEVELS - 1),
-        }
+            Phase::Iteration => 11,
+            Phase::Redistribute => 12,
+            Phase::CoarseGather => 13,
+            Phase::CoarseSolve => 14,
+            Phase::CoarseScatter => 15,
+            Phase::PrecondLevel(l) => NAMED_SLOTS + l.min(MAX_PRECOND_LEVELS - 1),
+        }) as u8
     }
 
-    fn from_slot(slot: usize) -> Phase {
-        match slot {
+    /// Inverse of [`Phase::code`]; `None` for unknown codes.
+    pub fn from_code(code: u8) -> Option<Phase> {
+        Some(match code {
             0 => Phase::Spmv,
             1 => Phase::Halo,
             2 => Phase::OrthGram,
@@ -111,11 +149,23 @@ impl Phase {
             8 => Phase::PrecondLp,
             9 => Phase::ReductionOverlap,
             10 => Phase::CoarseAgglom,
-            l => Phase::PrecondLevel(l - 11),
-        }
+            11 => Phase::Iteration,
+            12 => Phase::Redistribute,
+            13 => Phase::CoarseGather,
+            14 => Phase::CoarseSolve,
+            15 => Phase::CoarseScatter,
+            c if (c as usize) < NUM_SLOTS => Phase::PrecondLevel(c as usize - NAMED_SLOTS),
+            _ => return None,
+        })
     }
 
-    /// Stable display name used in snapshots, reports, and JSON dumps.
+    /// Every phase, in code order (for per-phase report tables).
+    pub fn all() -> impl Iterator<Item = Phase> {
+        (0..NUM_SLOTS as u8).filter_map(Phase::from_code)
+    }
+
+    /// Stable display name used in snapshots, reports, traces, and JSON
+    /// dumps.
     pub fn name(self) -> String {
         match self {
             Phase::Spmv => "spmv".to_string(),
@@ -129,8 +179,41 @@ impl Phase {
             Phase::PrecondLp => "precond_lp".to_string(),
             Phase::ReductionOverlap => "reduction_overlap".to_string(),
             Phase::CoarseAgglom => "coarse_agglom".to_string(),
+            Phase::Iteration => "iteration".to_string(),
+            Phase::Redistribute => "redistribute".to_string(),
+            Phase::CoarseGather => "coarse_gather".to_string(),
+            Phase::CoarseSolve => "coarse_solve".to_string(),
+            Phase::CoarseScatter => "coarse_scatter".to_string(),
             Phase::PrecondLevel(l) => format!("precond/l{}", l.min(MAX_PRECOND_LEVELS - 1)),
         }
+    }
+}
+
+/// How much the instrumentation records (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Level {
+    /// Guards are one relaxed load; nothing is recorded.
+    Off = 0,
+    /// Per-phase aggregates.
+    Prof = 1,
+    /// Aggregates plus per-thread trace spans.
+    Trace = 2,
+}
+
+impl Level {
+    /// Parse a `KRYST_PROF` value: `1`/`true` → [`Level::Prof`], `trace` →
+    /// [`Level::Trace`], anything else → [`Level::Off`].
+    pub fn parse(v: &str) -> Level {
+        match v.to_ascii_lowercase().as_str() {
+            "1" | "true" => Level::Prof,
+            "trace" => Level::Trace,
+            _ => Level::Off,
+        }
+    }
+
+    /// The `KRYST_PROF` value selecting this level.
+    pub fn env_value(self) -> &'static str {
+        ["0", "1", "trace"][self as usize]
     }
 }
 
@@ -158,8 +241,14 @@ impl Slot {
     fn record(&self, ns: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        // Plain loads first: a new extreme is rare, so the common sample
+        // pays no read-modify-write for either bound.
+        if ns < self.min_ns.load(Ordering::Relaxed) {
+            self.min_ns.fetch_min(ns, Ordering::Relaxed);
+        }
+        if ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
         let bucket = (63 - (ns.max(1)).leading_zeros() as usize).min(HIST_BUCKETS - 1);
         self.hist[bucket].fetch_add(1, Ordering::Relaxed);
     }
@@ -175,56 +264,113 @@ impl Slot {
     }
 }
 
+thread_local! {
+    /// Elapsed time of the guards closed since the innermost open guard on
+    /// this thread was entered — what that guard subtracts on exit.
+    static NESTED_NS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Thread-safe phase-attributed profiler with fixed per-phase slots.
 pub struct Profiler {
-    enabled: AtomicBool,
+    level: AtomicU8,
     slots: [Slot; NUM_SLOTS],
 }
 
 impl Profiler {
-    /// Create a profiler, initially enabled or disabled.
+    /// Create a profiler, initially at [`Level::Prof`] or [`Level::Off`].
     pub fn new(enabled: bool) -> Profiler {
+        span::epoch();
         Profiler {
-            enabled: AtomicBool::new(enabled),
+            level: AtomicU8::new(if enabled { Level::Prof } else { Level::Off } as u8),
             slots: std::array::from_fn(|_| Slot::new()),
         }
     }
 
-    /// The process-global profiler. Starts enabled iff the `KRYST_PROF`
-    /// environment variable is `1` or `true`; flip at runtime with
+    /// The process-global profiler behind [`profile`]. Its level starts
+    /// from the `KRYST_PROF` environment variable (see [`Level::parse`]);
+    /// change it at runtime with [`Profiler::set_level`] or
     /// [`Profiler::set_enabled`].
     pub fn global() -> &'static Profiler {
         static GLOBAL: OnceLock<Profiler> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let on = std::env::var("KRYST_PROF")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false);
-            Profiler::new(on)
+            let prof = Profiler::new(false);
+            let level = std::env::var("KRYST_PROF").map_or(Level::Off, |v| Level::parse(&v));
+            prof.set_level(level);
+            prof
         })
     }
 
-    /// Whether timing is currently being collected.
+    /// The current recording level (one relaxed load).
     #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+    pub fn level(&self) -> Level {
+        [Level::Off, Level::Prof, Level::Trace][self.level.load(Ordering::Relaxed) as usize]
     }
 
-    /// Enable or disable collection at runtime.
+    /// Set the recording level at runtime.
+    pub fn set_level(&self, level: Level) {
+        self.level.store(level as u8, Ordering::Relaxed);
+    }
+
+    /// Whether anything is being recorded (level above [`Level::Off`]).
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.level.load(Ordering::Relaxed) != Level::Off as u8
+    }
+
+    /// Switch recording off, or on at (at least) [`Level::Prof`]; turning
+    /// on keeps an already active [`Level::Trace`].
     pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        if !on {
+            self.set_level(Level::Off);
+        } else if !self.enabled() {
+            self.set_level(Level::Prof);
+        }
     }
 
     /// Start a timed region attributed to `phase`; the returned guard
-    /// records the elapsed time when dropped. When the profiler is
-    /// disabled this is one relaxed load and no clock read.
+    /// records on drop. When the level is off this is one relaxed load and
+    /// no clock read.
     #[inline]
     pub fn timed(&self, phase: Phase) -> PhaseTimer<'_> {
-        if self.enabled() {
-            PhaseTimer {
-                inner: Some((self, phase, Instant::now())),
-            }
-        } else {
-            PhaseTimer { inner: None }
+        match self.level.load(Ordering::Relaxed) {
+            0 => PhaseTimer::OFF,
+            level => self.open(level, phase, None),
+        }
+    }
+
+    /// [`Profiler::timed`] for a collective call site: at the trace level
+    /// the span also takes the next value of this thread's collective-edge
+    /// logical clock and carries the payload bytes and messages `wire`
+    /// counted between entry and exit.
+    #[inline]
+    pub fn timed_edge<'a>(&'a self, phase: Phase, wire: &'a WireStats) -> PhaseTimer<'a> {
+        match self.level.load(Ordering::Relaxed) {
+            0 => PhaseTimer::OFF,
+            level => self.open(level, phase, Some(wire)),
+        }
+    }
+
+    // Out of line, so the inlined off path stays one load and a branch.
+    #[inline(never)]
+    fn open<'a>(&'a self, level: u8, phase: Phase, wire: Option<&'a WireStats>) -> PhaseTimer<'a> {
+        let outer_ns = NESTED_NS.with(|c| c.replace(0));
+        let span = (level == Level::Trace as u8).then(|| SpanOpen {
+            seq: wire.map_or(NO_SEQ, |_| span::next_seq()),
+            wire: wire.map(|w| {
+                let s = w.snapshot();
+                (w, s.bytes_sent, s.msgs_sent)
+            }),
+            detail: 0,
+        });
+        PhaseTimer {
+            open: Some(Open {
+                prof: self,
+                phase,
+                outer_ns,
+                span,
+                t0: Instant::now(),
+            }),
+            _thread: PhantomData,
         }
     }
 
@@ -232,11 +378,11 @@ impl Profiler {
     #[inline]
     pub fn record_ns(&self, phase: Phase, ns: u64) {
         if self.enabled() {
-            self.slots[phase.slot()].record(ns);
+            self.slots[phase.code() as usize].record(ns);
         }
     }
 
-    /// Clear all accumulated samples (the enabled flag is untouched).
+    /// Clear all accumulated samples (the level is untouched).
     pub fn reset(&self) {
         for s in &self.slots {
             s.reset();
@@ -246,7 +392,7 @@ impl Profiler {
     /// Capture a consistent-enough copy of all per-phase aggregates.
     pub fn snapshot(&self) -> ProfileSnapshot {
         let mut phases = Vec::new();
-        for (i, s) in self.slots.iter().enumerate() {
+        for (phase, s) in Phase::all().zip(&self.slots) {
             let count = s.count.load(Ordering::Relaxed);
             if count == 0 {
                 continue;
@@ -256,7 +402,7 @@ impl Profiler {
                 *h = b.load(Ordering::Relaxed);
             }
             phases.push(PhaseStats {
-                name: Phase::from_slot(i).name(),
+                name: phase.name(),
                 count,
                 total_ns: s.total_ns.load(Ordering::Relaxed),
                 min_ns: s.min_ns.load(Ordering::Relaxed),
@@ -268,16 +414,83 @@ impl Profiler {
     }
 }
 
-/// RAII guard returned by [`Profiler::timed`]; records on drop.
+struct SpanOpen<'a> {
+    seq: u64,
+    wire: Option<(&'a WireStats, u64, u64)>,
+    detail: u64,
+}
+
+struct Open<'a> {
+    prof: &'a Profiler,
+    phase: Phase,
+    outer_ns: u64,
+    span: Option<SpanOpen<'a>>,
+    t0: Instant,
+}
+
+/// RAII guard returned by [`profile`]/[`Profiler::timed`]: records the
+/// region's exclusive time (and, at the trace level, its span) on drop.
+///
+/// Bound to the thread that opened it, because exclusive accounting is per
+/// thread.
+#[must_use = "the region is timed until the guard drops"]
 pub struct PhaseTimer<'a> {
-    inner: Option<(&'a Profiler, Phase, Instant)>,
+    open: Option<Open<'a>>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl PhaseTimer<'_> {
+    const OFF: Self = PhaseTimer {
+        open: None,
+        _thread: PhantomData,
+    };
+
+    /// The entry instant, when recording.
+    pub fn started(&self) -> Option<Instant> {
+        self.open.as_ref().map(|o| o.t0)
+    }
+
+    /// Set the span's kind-specific `detail` (see the [`Phase`] variants);
+    /// a no-op below the trace level.
+    #[inline]
+    pub fn set_detail(&mut self, detail: u64) {
+        if let Some(span) = self.open.as_mut().and_then(|o| o.span.as_mut()) {
+            span.detail = detail;
+        }
+    }
+
+    /// Close the region without recording it. Time of the guards nested
+    /// inside still counts as nested for the enclosing guard; this guard's
+    /// own time falls to that enclosing guard.
+    pub fn discard(mut self) {
+        if let Some(o) = self.open.take() {
+            NESTED_NS.with(|c| c.set(o.outer_ns.wrapping_add(c.get())));
+        }
+    }
 }
 
 impl Drop for PhaseTimer<'_> {
+    #[inline]
     fn drop(&mut self) {
-        if let Some((prof, phase, t0)) = self.inner.take() {
-            let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            prof.slots[phase.slot()].record(ns);
+        if let Some(o) = self.open.take() {
+            o.close();
+        }
+    }
+}
+
+impl Open<'_> {
+    #[inline(never)]
+    fn close(self) {
+        let t1 = Instant::now();
+        let elapsed = t1.duration_since(self.t0).as_nanos().min(u64::MAX as u128) as u64;
+        let nested = NESTED_NS.with(|c| c.replace(self.outer_ns.wrapping_add(elapsed)));
+        self.prof.slots[self.phase.code() as usize].record(elapsed.saturating_sub(nested));
+        if let Some(sp) = self.span {
+            let (bytes, msgs) = sp.wire.map_or((0, 0), |(w, b0, m0)| {
+                let s = w.snapshot();
+                (s.bytes_sent - b0, s.msgs_sent - m0)
+            });
+            span::push(self.phase, sp.seq, self.t0, t1, bytes, msgs, sp.detail);
         }
     }
 }
@@ -286,6 +499,13 @@ impl Drop for PhaseTimer<'_> {
 #[inline]
 pub fn profile(phase: Phase) -> PhaseTimer<'static> {
     Profiler::global().timed(phase)
+}
+
+/// Time a collective call site on the global profiler (see
+/// [`Profiler::timed_edge`]).
+#[inline]
+pub fn profile_edge(phase: Phase, wire: &WireStats) -> PhaseTimer<'_> {
+    Profiler::global().timed_edge(phase, wire)
 }
 
 /// Aggregated statistics for one phase.
@@ -457,6 +677,63 @@ mod tests {
         }
         let snap = prof.snapshot();
         assert_eq!(snap.phase(Phase::OrthGram).unwrap().count, 1);
+    }
+
+    #[test]
+    fn nested_guard_time_is_excluded_from_parent() {
+        let prof = Profiler::new(true);
+        let sleep = |ms| std::thread::sleep(std::time::Duration::from_millis(ms));
+        let t = Instant::now();
+        {
+            let _outer = prof.timed(Phase::RecycleSetup);
+            sleep(2);
+            let _inner = prof.timed(Phase::SmallDense);
+            sleep(5);
+        }
+        let wall = t.elapsed().as_nanos() as u64;
+        let snap = prof.snapshot();
+        let (outer, inner) = (&snap.phases[1], &snap.phases[0]);
+        assert_eq!(
+            (outer.name.as_str(), inner.name.as_str()),
+            ("recycle_setup", "small_dense")
+        );
+        // One sample per guard; the child's time is not the parent's.
+        assert_eq!((outer.count, inner.count), (1, 1));
+        assert!(outer.total_ns >= 2_000_000 && inner.total_ns >= 5_000_000);
+        // Exclusive totals partition the wall time (an inclusive parent
+        // plus its child would exceed it).
+        assert!(snap.total_ns() <= wall, "{} > {wall}", snap.total_ns());
+    }
+
+    #[test]
+    fn levels_parse_and_gate_recording() {
+        for l in [Level::Off, Level::Prof, Level::Trace] {
+            assert_eq!(Level::parse(l.env_value()), l);
+        }
+        assert_eq!(Level::parse("TRUE"), Level::Prof);
+        let prof = Profiler::new(false);
+        assert!(prof.timed(Phase::Spmv).started().is_none());
+        prof.set_level(Level::Trace);
+        prof.set_enabled(true); // keeps the trace level
+        assert_eq!(prof.level(), Level::Trace);
+        prof.set_enabled(false);
+        assert!(!prof.enabled());
+    }
+
+    #[test]
+    fn discarded_guard_records_nothing_but_keeps_nesting() {
+        let prof = Profiler::new(true);
+        let t = Instant::now();
+        {
+            let _outer = prof.timed(Phase::Precond);
+            let skipped = prof.timed(Phase::Iteration);
+            drop(prof.timed(Phase::Spmv));
+            skipped.discard();
+        }
+        let snap = prof.snapshot();
+        assert!(snap.phase(Phase::Iteration).is_none());
+        assert_eq!(snap.phase(Phase::Spmv).unwrap().count, 1);
+        assert!(snap.total_ns() <= t.elapsed().as_nanos() as u64);
     }
 
     #[test]

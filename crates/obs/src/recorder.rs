@@ -6,19 +6,11 @@ use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// An event sink. Implementations must be cheap to call and thread-safe —
 /// solvers may emit from worker threads (pseudo-block drivers).
 pub trait Recorder: Send + Sync {
-    /// Whether events should be constructed at all. The hot path checks
-    /// this once per emission site; the [`NullRecorder`] returns `false`
-    /// so a wired-but-disabled solver pays one virtual call and no
-    /// allocation.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Record one event.
     fn record(&self, ev: &Event);
 
@@ -30,19 +22,6 @@ pub trait Recorder: Send + Sync {
             self.record(ev);
         }
     }
-}
-
-/// Discards everything; `enabled()` is `false` so emitters skip event
-/// construction entirely.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _ev: &Event) {}
 }
 
 /// Bounded in-memory buffer (oldest events dropped past capacity, with a
@@ -165,44 +144,6 @@ impl Drop for JsonlRecorder {
     }
 }
 
-/// Fans every event out to two recorders, so one run can feed both an
-/// in-memory view (assertions, metrics extraction) and a streaming trace.
-pub struct TeeRecorder {
-    a: Arc<dyn Recorder>,
-    b: Arc<dyn Recorder>,
-}
-
-impl TeeRecorder {
-    /// Tee to `a` and `b`.
-    pub fn new(a: Arc<dyn Recorder>, b: Arc<dyn Recorder>) -> Self {
-        Self { a, b }
-    }
-}
-
-impl Recorder for TeeRecorder {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn record(&self, ev: &Event) {
-        if self.a.enabled() {
-            self.a.record(ev);
-        }
-        if self.b.enabled() {
-            self.b.record(ev);
-        }
-    }
-
-    fn record_batch(&self, evs: &[Event]) {
-        if self.a.enabled() {
-            self.a.record_batch(evs);
-        }
-        if self.b.enabled() {
-            self.b.record_batch(evs);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,31 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_fans_out_and_skips_disabled_children() {
-        let a = std::sync::Arc::new(RingRecorder::new(16));
-        let b = std::sync::Arc::new(RingRecorder::new(16));
-        let tee = TeeRecorder::new(a.clone(), b.clone());
-        assert!(Recorder::enabled(&tee));
-        tee.record(&iter_ev(0));
-        tee.record_batch(&[iter_ev(1), iter_ev(2)]);
-        assert_eq!(a.len(), 3);
-        assert_eq!(b.len(), 3);
-
-        let null = std::sync::Arc::new(NullRecorder);
-        let c = std::sync::Arc::new(RingRecorder::new(16));
-        let half = TeeRecorder::new(null, c.clone());
-        assert!(Recorder::enabled(&half)); // one live child keeps it on
-        half.record(&iter_ev(0));
-        assert_eq!(c.len(), 1);
-
-        let dead = TeeRecorder::new(
-            std::sync::Arc::new(NullRecorder),
-            std::sync::Arc::new(NullRecorder),
-        );
-        assert!(!Recorder::enabled(&dead));
-    }
-
-    #[test]
     fn jsonl_batch_and_drop_flush() {
         let dir = std::env::temp_dir().join("kryst_obs_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -307,13 +223,6 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.lines().count(), 3);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn null_recorder_reports_disabled() {
-        let n = NullRecorder;
-        assert!(!Recorder::enabled(&n));
-        n.record(&iter_ev(0)); // must be a no-op
     }
 
     #[test]

@@ -1,32 +1,23 @@
 //! Per-rank distributed trace spans.
 //!
-//! Every rank of an SPMD run records timestamped [`TraceSpan`]s — iterations,
-//! collectives (with the wire counters the transport measured), halo
-//! exchanges, preconditioner applies, coarse-agglomeration stages — into a
-//! **bounded per-thread ring**. A rank is one thread (channel backend) or one
-//! process (socket backend), so thread-local storage *is* per-rank storage,
-//! with no cross-rank contention by construction.
+//! At the trace level (`KRYST_PROF=trace`) every closing [`crate::profile`]
+//! guard also records a [`TraceSpan`] — its phase, its entry/exit instants,
+//! and for collective edges the wire counters — into a **bounded per-thread
+//! ring** of [`DEFAULT_RING_CAP`] spans (overflow is dropped and counted).
+//! A rank is one thread (channel backend) or one process (socket backend),
+//! so thread-local storage *is* per-rank storage. Spans recorded on
+//! kernel-pool worker threads stay in those threads' rings.
 //!
-//! Two clocks ride on every span:
-//!
-//! * a **monotonic local clock** (`start_ns`/`end_ns`, nanoseconds since the
-//!   recording thread's first traced span) — honest local durations, but
-//!   each rank's origin is arbitrary;
-//! * a **collective-edge logical clock** (`seq`) — bumped once per
-//!   collective entered via [`begin_edge`]. Every rank executes the
-//!   identical collective schedule, so equal `seq` values identify the
-//!   *same* collective across ranks even when wall clocks are skewed. Local
-//!   (non-collective) spans carry [`NO_SEQ`].
-//!
-//! The discipline mirrors [`crate::profiler`]: when tracing is disabled
-//! (the default) the hot path is **one relaxed bool load and no clock
-//! read**, so solver results — and golden traces — are bit-identical with
-//! tracing on or off. Enable with `KRYST_TRACE=1` (or by setting
-//! `KRYST_TRACE_TIMELINE=path`, which also selects the Chrome-trace export
-//! target), or at runtime via [`set_trace_enabled`].
+//! Two clocks ride on every span: a **monotonic local clock**
+//! (`start_ns`/`end_ns`, nanoseconds since the process's trace epoch —
+//! honest durations, arbitrary per-process origin) and a **collective-edge
+//! logical clock** (`seq`), bumped once per [`crate::profile_edge`] guard.
+//! Every rank executes the identical collective schedule, so equal `seq`
+//! values identify the *same* collective across ranks even when wall clocks
+//! are skewed. Local spans carry [`NO_SEQ`].
 
+use crate::profiler::Phase;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -37,101 +28,18 @@ pub const NO_SEQ: u64 = u64::MAX;
 /// [`TraceSpan::encode_into`]).
 pub const SPAN_FIELDS: usize = 7;
 
-/// Default ring capacity (spans per thread); override with
-/// `KRYST_TRACE_CAP`.
+/// Ring capacity (spans per thread).
 pub const DEFAULT_RING_CAP: usize = 1 << 16;
-
-/// What a [`TraceSpan`] measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TraceKind {
-    /// One solver (block) iteration (`detail` = iteration index).
-    Iteration,
-    /// A butterfly all-reduce, fused or not, split-phase or not (`detail`
-    /// low 32 bits = stage count, bit 32 set for split-phase).
-    Reduction,
-    /// A layout redistribution (the coarse-agglomeration gather/scatter
-    /// primitive).
-    Redistribute,
-    /// One halo exchange (`detail` = scalar entries received).
-    Halo,
-    /// One preconditioner application.
-    PrecondApply,
-    /// Agglomerated coarse solve: gather onto the subset.
-    CoarseGather,
-    /// Agglomerated coarse solve: the subset direct solve.
-    CoarseSolve,
-    /// Agglomerated coarse solve: scatter back to all ranks.
-    CoarseScatter,
-}
-
-impl TraceKind {
-    /// Stable numeric code used by the flat/JSON encodings.
-    pub fn code(self) -> u8 {
-        match self {
-            TraceKind::Iteration => 0,
-            TraceKind::Reduction => 1,
-            TraceKind::Redistribute => 2,
-            TraceKind::Halo => 3,
-            TraceKind::PrecondApply => 4,
-            TraceKind::CoarseGather => 5,
-            TraceKind::CoarseSolve => 6,
-            TraceKind::CoarseScatter => 7,
-        }
-    }
-
-    /// Inverse of [`TraceKind::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<TraceKind> {
-        Some(match code {
-            0 => TraceKind::Iteration,
-            1 => TraceKind::Reduction,
-            2 => TraceKind::Redistribute,
-            3 => TraceKind::Halo,
-            4 => TraceKind::PrecondApply,
-            5 => TraceKind::CoarseGather,
-            6 => TraceKind::CoarseSolve,
-            7 => TraceKind::CoarseScatter,
-            _ => return None,
-        })
-    }
-
-    /// Display name used by reports and the Chrome-trace export.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::Iteration => "iteration",
-            TraceKind::Reduction => "reduction",
-            TraceKind::Redistribute => "redistribute",
-            TraceKind::Halo => "halo",
-            TraceKind::PrecondApply => "precond_apply",
-            TraceKind::CoarseGather => "coarse_gather",
-            TraceKind::CoarseSolve => "coarse_solve",
-            TraceKind::CoarseScatter => "coarse_scatter",
-        }
-    }
-
-    /// Every kind, in code order (for per-kind report tables).
-    pub fn all() -> [TraceKind; 8] {
-        [
-            TraceKind::Iteration,
-            TraceKind::Reduction,
-            TraceKind::Redistribute,
-            TraceKind::Halo,
-            TraceKind::PrecondApply,
-            TraceKind::CoarseGather,
-            TraceKind::CoarseSolve,
-            TraceKind::CoarseScatter,
-        ]
-    }
-}
 
 /// One recorded span. All integer payloads stay below 2⁵³ in practice, so
 /// the flat `f64` encoding used to ship rings across the transport is exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpan {
-    /// What was measured.
-    pub kind: TraceKind,
+    /// The phase whose guard recorded the span.
+    pub kind: Phase,
     /// Collective-edge logical clock value, or [`NO_SEQ`] for local spans.
     pub seq: u64,
-    /// Start, nanoseconds on the recording thread's monotonic clock.
+    /// Start, nanoseconds since the process's trace epoch.
     pub start_ns: u64,
     /// End, same clock.
     pub end_ns: u64,
@@ -139,7 +47,7 @@ pub struct TraceSpan {
     pub bytes: u64,
     /// Messages this rank put on the wire inside the span.
     pub msgs: u64,
-    /// Kind-specific detail (see [`TraceKind`] variants).
+    /// Phase-specific detail (see the [`Phase`] variants).
     pub detail: u64,
 }
 
@@ -170,7 +78,7 @@ impl TraceSpan {
             return None;
         }
         Some(TraceSpan {
-            kind: TraceKind::from_code(v[0] as u8)?,
+            kind: Phase::from_code(v[0] as u8)?,
             seq: if v[1] < 0.0 { NO_SEQ } else { v[1] as u64 },
             start_ns: v[2] as u64,
             end_ns: v[3] as u64,
@@ -181,125 +89,56 @@ impl TraceSpan {
     }
 }
 
-fn flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let by_switch = std::env::var("KRYST_TRACE")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-        let by_export = std::env::var("KRYST_TRACE_TIMELINE")
-            .map(|p| !p.is_empty())
-            .unwrap_or(false);
-        AtomicBool::new(by_switch || by_export)
-    })
+/// The process's trace epoch, fixed on first use. Every profiler touches it
+/// when created, before any of its guards can open, so span timestamps
+/// never precede it.
+pub(crate) fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
 }
 
-/// Whether span recording is currently on (one relaxed load).
-#[inline]
-pub fn trace_enabled() -> bool {
-    flag().load(Ordering::Relaxed)
-}
-
-/// Turn span recording on or off at runtime (process-wide).
-pub fn set_trace_enabled(on: bool) {
-    flag().store(on, Ordering::Relaxed);
-}
-
-fn ring_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("KRYST_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&c: &usize| c > 0)
-            .unwrap_or(DEFAULT_RING_CAP)
-    })
-}
-
-struct ThreadTracer {
-    epoch: Instant,
+#[derive(Default)]
+struct ThreadRing {
     ring: Vec<TraceSpan>,
     dropped: u64,
     seq: u64,
 }
 
 thread_local! {
-    static TRACER: RefCell<ThreadTracer> = RefCell::new(ThreadTracer {
-        epoch: Instant::now(),
-        ring: Vec::new(),
-        dropped: 0,
-        seq: 0,
-    });
+    static RING: RefCell<ThreadRing> = RefCell::new(ThreadRing::default());
 }
 
-/// An in-flight span returned by [`begin`]/[`begin_edge`]; finish it with
-/// [`end`]. Not a guard: dropping it without [`end`] simply records nothing.
-#[derive(Debug)]
-pub struct OpenSpan {
-    kind: TraceKind,
+/// Take this thread's next collective-edge logical clock value.
+pub(crate) fn next_seq() -> u64 {
+    RING.with(|r| {
+        let mut r = r.borrow_mut();
+        r.seq += 1;
+        r.seq - 1
+    })
+}
+
+/// Record one closed guard's span; a full ring drops it and counts it.
+pub(crate) fn push(
+    kind: Phase,
     seq: u64,
-    start_ns: u64,
-}
-
-fn now_ns(tr: &ThreadTracer) -> u64 {
-    tr.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
-}
-
-/// Start a *local* span (no logical-clock bump). `None` — and no clock
-/// read — when tracing is disabled.
-#[inline]
-pub fn begin(kind: TraceKind) -> Option<OpenSpan> {
-    if !trace_enabled() {
-        return None;
-    }
-    Some(TRACER.with(|t| {
-        let tr = t.borrow();
-        OpenSpan {
-            kind,
-            seq: NO_SEQ,
-            start_ns: now_ns(&tr),
-        }
-    }))
-}
-
-/// Start a *collective-edge* span: bumps this rank's logical clock so the
-/// span pairs with the same collective on every other rank. `None` when
-/// tracing is disabled — the logical clock then does not advance, which is
-/// consistent because it does not advance on any rank.
-#[inline]
-pub fn begin_edge(kind: TraceKind) -> Option<OpenSpan> {
-    if !trace_enabled() {
-        return None;
-    }
-    Some(TRACER.with(|t| {
-        let mut tr = t.borrow_mut();
-        let seq = tr.seq;
-        tr.seq += 1;
-        OpenSpan {
-            kind,
-            seq,
-            start_ns: now_ns(&tr),
-        }
-    }))
-}
-
-/// Finish a span, recording it into the thread's ring. A full ring drops
-/// the span and counts it (see [`drain`]). No-op for `None`.
-#[inline]
-pub fn end(open: Option<OpenSpan>, bytes: u64, msgs: u64, detail: u64) {
-    let Some(open) = open else { return };
-    TRACER.with(|t| {
-        let mut tr = t.borrow_mut();
-        let end_ns = now_ns(&tr);
-        if tr.ring.len() >= ring_cap() {
-            tr.dropped += 1;
+    t0: Instant,
+    t1: Instant,
+    bytes: u64,
+    msgs: u64,
+    detail: u64,
+) {
+    let ns = |t: Instant| t.saturating_duration_since(epoch()).as_nanos() as u64;
+    RING.with(|r| {
+        let mut r = r.borrow_mut();
+        if r.ring.len() >= DEFAULT_RING_CAP {
+            r.dropped += 1;
             return;
         }
-        tr.ring.push(TraceSpan {
-            kind: open.kind,
-            seq: open.seq,
-            start_ns: open.start_ns,
-            end_ns,
+        r.ring.push(TraceSpan {
+            kind,
+            seq,
+            start_ns: ns(t0),
+            end_ns: ns(t1),
             bytes,
             msgs,
             detail,
@@ -307,37 +146,13 @@ pub fn end(open: Option<OpenSpan>, bytes: u64, msgs: u64, detail: u64) {
     });
 }
 
-/// RAII guard for a local span with no wire payload; records on drop.
-#[must_use = "the span records when the guard drops"]
-pub struct SpanGuard {
-    open: Option<OpenSpan>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        end(self.open.take(), 0, 0, 0);
-    }
-}
-
-/// Record a local span over the guard's lifetime (one relaxed load and no
-/// clock read when disabled) — the drop-in companion to
-/// [`crate::profiler::profile`].
-#[inline]
-pub fn traced(kind: TraceKind) -> SpanGuard {
-    SpanGuard { open: begin(kind) }
-}
-
 /// Take every span recorded on this thread plus the overflow count, and
 /// reset the ring, the drop counter, and the logical clock — so each traced
 /// region (one SPMD closure, one solve) drains independently.
 pub fn drain() -> (Vec<TraceSpan>, u64) {
-    TRACER.with(|t| {
-        let mut tr = t.borrow_mut();
-        let spans = std::mem::take(&mut tr.ring);
-        let dropped = tr.dropped;
-        tr.dropped = 0;
-        tr.seq = 0;
-        (spans, dropped)
+    RING.with(|r| {
+        let r = std::mem::take(&mut *r.borrow_mut());
+        (r.ring, r.dropped)
     })
 }
 
@@ -352,78 +167,85 @@ pub fn reset_thread() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::{Level, Profiler};
+    use crate::wire::WireStats;
 
-    // The enabled flag is process-global; every test here runs against its
-    // own thread-local ring but serializes flag flips through this lock so
-    // parallel test threads cannot race each other's on/off windows.
-    fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    /// A private profiler at the trace level: spans land in this test
+    /// thread's ring without touching the process-global level.
+    fn tracing() -> Profiler {
         reset_thread();
-        set_trace_enabled(true);
-        let r = f();
-        set_trace_enabled(false);
-        reset_thread();
-        r
+        let prof = Profiler::new(false);
+        prof.set_level(Level::Trace);
+        prof
     }
 
     #[test]
     fn disabled_records_nothing_and_returns_none() {
-        set_trace_enabled(false);
         reset_thread();
-        assert!(begin(TraceKind::Halo).is_none());
-        assert!(begin_edge(TraceKind::Reduction).is_none());
+        let prof = Profiler::new(false);
+        let wire = WireStats::default();
+        assert!(prof.timed(Phase::Halo).started().is_none());
+        assert!(prof.timed_edge(Phase::Reduction, &wire).started().is_none());
+        prof.set_level(Level::Prof);
         {
-            let _g = traced(TraceKind::PrecondApply);
+            let _g = prof.timed(Phase::Precond);
         }
         let (spans, dropped) = drain();
         assert!(spans.is_empty());
         assert_eq!(dropped, 0);
+        assert_eq!(prof.snapshot().phase(Phase::Precond).unwrap().count, 1);
     }
 
     #[test]
     fn edges_advance_the_logical_clock_and_locals_do_not() {
-        with_tracing(|| {
-            let a = begin_edge(TraceKind::Reduction);
-            end(a, 16, 2, 3);
-            let b = begin(TraceKind::PrecondApply);
-            end(b, 0, 0, 0);
-            let c = begin_edge(TraceKind::Redistribute);
-            end(c, 8, 1, 0);
-            let (spans, dropped) = drain();
-            assert_eq!(dropped, 0);
-            assert_eq!(spans.len(), 3);
-            assert_eq!(spans[0].seq, 0);
-            assert_eq!(spans[1].seq, NO_SEQ);
-            assert_eq!(spans[2].seq, 1);
-            assert_eq!(spans[0].bytes, 16);
-            assert_eq!(spans[0].msgs, 2);
-            assert_eq!(spans[0].detail, 3);
-            assert!(spans[0].end_ns >= spans[0].start_ns);
-            // drain() reset the logical clock.
-            let d = begin_edge(TraceKind::Reduction);
-            assert_eq!(d.as_ref().unwrap().seq, 0);
-            end(d, 0, 0, 0);
-        });
+        let prof = tracing();
+        let wire = WireStats::default();
+        {
+            let mut a = prof.timed_edge(Phase::Reduction, &wire);
+            wire.record_send(8, 1);
+            wire.record_send(8, 1);
+            a.set_detail(3);
+        }
+        drop(prof.timed(Phase::Precond));
+        {
+            let _c = prof.timed_edge(Phase::Redistribute, &wire);
+            wire.record_send(8, 1);
+        }
+        let (spans, dropped) = drain();
+        assert_eq!(dropped, 0);
+        assert_eq!(spans.len(), 3);
+        assert_eq!(spans[0].seq, 0);
+        assert_eq!(spans[1].seq, NO_SEQ);
+        assert_eq!(spans[2].seq, 1);
+        assert_eq!(spans[0].bytes, 16);
+        assert_eq!(spans[0].msgs, 2);
+        assert_eq!(spans[0].detail, 3);
+        assert_eq!(spans[2].bytes, 8);
+        assert!(spans[0].end_ns >= spans[0].start_ns);
+        // drain() reset the logical clock.
+        drop(prof.timed_edge(Phase::Reduction, &wire));
+        assert_eq!(drain().0[0].seq, 0);
     }
 
     #[test]
     fn guard_records_on_drop() {
-        with_tracing(|| {
-            {
-                let _g = traced(TraceKind::Halo);
-                std::hint::black_box(1 + 1);
-            }
-            let (spans, _) = drain();
-            assert_eq!(spans.len(), 1);
-            assert_eq!(spans[0].kind, TraceKind::Halo);
-        });
+        let prof = tracing();
+        {
+            let _g = prof.timed(Phase::Halo);
+            std::hint::black_box(1 + 1);
+        }
+        let (spans, _) = drain();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].kind, Phase::Halo);
+        // The same guard fed the aggregates from the same clock pair.
+        let snap = prof.snapshot();
+        assert_eq!(snap.phase(Phase::Halo).unwrap().total_ns, spans[0].dur_ns());
     }
 
     #[test]
     fn span_flat_encoding_round_trips() {
         let s = TraceSpan {
-            kind: TraceKind::CoarseGather,
+            kind: Phase::CoarseGather,
             seq: NO_SEQ,
             start_ns: 123,
             end_ns: 456,
@@ -443,24 +265,24 @@ mod tests {
 
     #[test]
     fn full_ring_drops_and_counts() {
-        with_tracing(|| {
-            // Fill past capacity; capacity is large, so synthesize directly.
-            let cap = ring_cap();
-            for i in 0..(cap + 5) {
-                let o = begin(TraceKind::Iteration);
-                end(o, 0, 0, i as u64);
-            }
-            let (spans, dropped) = drain();
-            assert_eq!(spans.len(), cap);
-            assert_eq!(dropped, 5);
-        });
+        let prof = tracing();
+        // Fill past capacity.
+        let cap = DEFAULT_RING_CAP;
+        for i in 0..(cap + 5) {
+            let mut g = prof.timed(Phase::Iteration);
+            g.set_detail(i as u64);
+        }
+        let (spans, dropped) = drain();
+        assert_eq!(spans.len(), cap);
+        assert_eq!(dropped, 5);
     }
 
     #[test]
     fn kind_codes_round_trip() {
-        for k in TraceKind::all() {
-            assert_eq!(TraceKind::from_code(k.code()), Some(k));
+        for k in Phase::all() {
+            assert_eq!(Phase::from_code(k.code()), Some(k));
         }
-        assert_eq!(TraceKind::from_code(200), None);
+        assert_eq!(Phase::all().count(), crate::profiler::NUM_SLOTS);
+        assert_eq!(Phase::from_code(200), None);
     }
 }

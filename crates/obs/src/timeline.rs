@@ -24,7 +24,8 @@
 
 use crate::json::JsonValue;
 use crate::metrics::MetricsRegistry;
-use crate::span::{TraceKind, TraceSpan, NO_SEQ, SPAN_FIELDS};
+use crate::profiler::{Phase, NUM_SLOTS};
+use crate::span::{TraceSpan, NO_SEQ, SPAN_FIELDS};
 use std::fmt::Write as _;
 
 /// Log2 buckets in the wait-time histograms (bucket `i` holds waits with
@@ -86,7 +87,7 @@ impl RankStream {
 #[derive(Debug, Clone)]
 pub struct CollectiveGroup {
     /// Span kind (identical on every member by construction).
-    pub kind: TraceKind,
+    pub kind: Phase,
     /// Logical-clock value identifying this collective.
     pub seq: u64,
     /// Per member: `(rank, aligned start ns, aligned end ns, bytes, msgs,
@@ -259,7 +260,7 @@ impl Timeline {
     pub fn skew(&self, alpha_reduce: f64, beta: f64) -> Vec<SkewRow> {
         let mut rows = Vec::new();
         for g in self.collectives() {
-            if g.kind != TraceKind::Reduction || g.members.len() < 2 {
+            if g.kind != Phase::Reduction || g.members.len() < 2 {
                 continue;
             }
             let earliest_start = g.members.iter().map(|m| m.1).min().unwrap_or(0);
@@ -267,12 +268,7 @@ impl Timeline {
             let latest_end = g.members.iter().map(|m| m.2).max().unwrap_or(0);
             let exposed_ns = (latest_end - earliest_start).max(0) as u64;
             let skew_ns = ((latest_start - earliest_start).max(0) as u64).min(exposed_ns);
-            let stages = g
-                .members
-                .iter()
-                .map(|m| m.5 & 0xffff_ffff)
-                .max()
-                .unwrap_or(0);
+            let stages = g.members.iter().map(|m| m.5).max().unwrap_or(0);
             let bytes = g.members.iter().map(|m| m.3).max().unwrap_or(0);
             let modeled_wire_ns =
                 ((stages as f64 * alpha_reduce + bytes as f64 / beta) * 1e9).round() as u64;
@@ -290,17 +286,31 @@ impl Timeline {
     }
 
     /// Per-rank, per-kind `(count, total_ns)` table — the paper-style local
-    /// phase breakdown, one row per surviving rank.
+    /// phase breakdown, one row per surviving rank. Like the profiler's
+    /// aggregates, times are exclusive: a span's duration is charged to its
+    /// kind less the spans nested inside it on the same rank.
     pub fn phase_totals(&self) -> Vec<PhaseTotalsRow> {
         self.streams
             .iter()
             .map(|s| {
-                let mut count = [0u64; 8];
-                let mut total_ns = [0u64; 8];
-                for sp in &s.spans {
+                let mut count = [0u64; NUM_SLOTS];
+                let mut total_ns = [0u64; NUM_SLOTS];
+                let mut spans: Vec<&TraceSpan> = s.spans.iter().collect();
+                spans.sort_by_key(|sp| (sp.start_ns, std::cmp::Reverse(sp.end_ns)));
+                // Enclosing spans of the current one, outermost first.
+                let mut open: Vec<&TraceSpan> = Vec::new();
+                for sp in spans {
+                    while open.last().is_some_and(|p| p.end_ns < sp.end_ns) {
+                        open.pop();
+                    }
+                    if let Some(p) = open.last() {
+                        let pk = p.kind.code() as usize;
+                        total_ns[pk] = total_ns[pk].saturating_sub(sp.dur_ns());
+                    }
                     let k = sp.kind.code() as usize;
                     count[k] += 1;
                     total_ns[k] += sp.dur_ns();
+                    open.push(sp);
                 }
                 PhaseTotalsRow {
                     rank: s.rank,
@@ -424,22 +434,21 @@ impl Timeline {
 }
 
 /// Per-rank, per-kind span totals (see [`Timeline::phase_totals`]); arrays
-/// are indexed by [`TraceKind::code`].
+/// are indexed by [`Phase::code`].
 #[derive(Debug, Clone)]
 pub struct PhaseTotalsRow {
     /// Rank the row describes.
     pub rank: usize,
     /// Span count per kind.
-    pub count: [u64; 8],
+    pub count: [u64; NUM_SLOTS],
     /// Summed span duration per kind, nanoseconds.
-    pub total_ns: [u64; 8],
+    pub total_ns: [u64; NUM_SLOTS],
 }
 
 /// Render the per-rank phase table for a set of [`PhaseTotalsRow`]s
 /// (milliseconds; kinds nobody recorded are omitted).
 pub fn phase_table(rows: &[PhaseTotalsRow]) -> String {
-    let used: Vec<TraceKind> = TraceKind::all()
-        .into_iter()
+    let used: Vec<Phase> = Phase::all()
         .filter(|k| rows.iter().any(|r| r.count[k.code() as usize] > 0))
         .collect();
     let mut s = String::new();
@@ -575,7 +584,7 @@ pub fn skew_table(rows: &[SkewRow]) -> String {
 mod tests {
     use super::*;
 
-    fn span(kind: TraceKind, seq: u64, start: u64, end: u64, bytes: u64, detail: u64) -> TraceSpan {
+    fn span(kind: Phase, seq: u64, start: u64, end: u64, bytes: u64, detail: u64) -> TraceSpan {
         TraceSpan {
             kind,
             seq,
@@ -595,17 +604,17 @@ mod tests {
             rank: 0,
             dropped: 0,
             spans: vec![
-                span(TraceKind::Reduction, 0, 2000, 3000, 80, 2),
-                span(TraceKind::PrecondApply, NO_SEQ, 3000, 3500, 0, 0),
-                span(TraceKind::Reduction, 1, 4000, 5500, 80, 2),
+                span(Phase::Reduction, 0, 2000, 3000, 80, 2),
+                span(Phase::Precond, NO_SEQ, 3000, 3500, 0, 0),
+                span(Phase::Reduction, 1, 4000, 5500, 80, 2),
             ],
         };
         let s1 = RankStream {
             rank: 1,
             dropped: 0,
             spans: vec![
-                span(TraceKind::Reduction, 0, 1000, 2000, 80, 2),
-                span(TraceKind::Reduction, 1, 3500, 4500, 80, 2),
+                span(Phase::Reduction, 0, 1000, 2000, 80, 2),
+                span(Phase::Reduction, 1, 3500, 4500, 80, 2),
             ],
         };
         Timeline::merge(2, vec![s1, s0], vec![])
@@ -685,7 +694,7 @@ mod tests {
         let s0 = RankStream {
             rank: 0,
             dropped: 0,
-            spans: vec![span(TraceKind::PrecondApply, NO_SEQ, 0, 10, 0, 0)],
+            spans: vec![span(Phase::Precond, NO_SEQ, 0, 10, 0, 0)],
         };
         let tl = Timeline::merge(4, vec![s0], vec![2, 1]);
         assert_eq!(tl.missing, vec![1, 2]);
@@ -701,14 +710,30 @@ mod tests {
         let tl = skewed_timeline();
         let rows = tl.phase_totals();
         assert_eq!(rows.len(), 2);
-        let red = TraceKind::Reduction.code() as usize;
-        let pa = TraceKind::PrecondApply.code() as usize;
+        let red = Phase::Reduction.code() as usize;
+        let pa = Phase::Precond.code() as usize;
         assert_eq!(rows[0].count[red], 2);
         assert_eq!(rows[0].total_ns[red], 1000 + 1500);
         assert_eq!(rows[0].count[pa], 1);
         assert_eq!(rows[1].count[pa], 0);
         let table = phase_table(&rows);
         assert!(table.contains("reduction (ms)"));
+        // A nested span is charged to its own kind only.
+        let nested = Timeline::merge(
+            1,
+            vec![RankStream {
+                rank: 0,
+                dropped: 0,
+                spans: vec![
+                    span(Phase::Reduction, 0, 200, 300, 8, 1),
+                    span(Phase::Iteration, NO_SEQ, 100, 1000, 0, 0),
+                ],
+            }],
+            vec![],
+        );
+        let row = &nested.phase_totals()[0];
+        assert_eq!(row.total_ns[Phase::Iteration.code() as usize], 800);
+        assert_eq!(row.total_ns[red], 100);
         assert!(!table.contains("halo (ms)"));
     }
 }

@@ -13,10 +13,9 @@
 //! in place — no per-stage payload clones anywhere on the butterfly.
 
 use crate::spmd::reduce_stages;
-use crate::trace::{edge_begin, edge_end, OpenEdge, SPLIT_PHASE_BIT};
 use crate::transport::{Transport, TransportError};
 use crate::Layout;
-use kryst_obs::span::TraceKind;
+use kryst_obs::{profile_edge, Phase, PhaseTimer};
 
 /// All-reduce (sum) in place via the recursive-doubling **butterfly**:
 /// `log₂ P` message stages when `P` is a power of two, `⌊log₂ P⌋ + 2`
@@ -28,13 +27,11 @@ pub fn all_reduce_sum<T: Transport + ?Sized>(
     local: &mut Vec<f64>,
     scratch: &mut Vec<f64>,
 ) -> Result<u32, TransportError> {
-    let _t = kryst_obs::profile(kryst_obs::Phase::Reduction);
-    // One trace hook covers the plain, fused, and barrier flavors — they all
+    // One guard covers the plain, fused, and barrier flavors — they all
     // funnel through this butterfly.
-    let trace = edge_begin(t, TraceKind::Reduction);
+    let mut guard = profile_edge(Phase::Reduction, t.wire());
     let p = t.nranks();
     if p == 1 {
-        edge_end(t, trace, 0);
         return Ok(0);
     }
     let r = t.rank();
@@ -77,7 +74,7 @@ pub fn all_reduce_sum<T: Transport + ?Sized>(
         }
         stages += 1;
     }
-    edge_end(t, trace, u64::from(stages));
+    guard.set_detail(u64::from(stages));
     Ok(stages)
 }
 
@@ -124,10 +121,10 @@ pub fn ireduce_start<'a, T: Transport + ?Sized>(
     t: &'a T,
     local: Vec<f64>,
 ) -> Result<PendingReduce<'a, T>, TransportError> {
-    let _t = kryst_obs::profile(kryst_obs::Phase::ReductionOverlap);
-    // The span opens here and closes in `finish`, so its wall footprint is
-    // the whole in-flight window — the overlap the skew analysis decomposes.
-    let trace = edge_begin(t, TraceKind::Reduction);
+    // The guard opens here and closes in `finish`, so its span covers the
+    // whole in-flight window; its profiled time excludes the work nested
+    // inside that window.
+    let guard = profile_edge(Phase::ReductionOverlap, t.wire());
     let p = t.nranks();
     let mut sent_stage1 = false;
     if p > 1 {
@@ -149,7 +146,7 @@ pub fn ireduce_start<'a, T: Transport + ?Sized>(
         t,
         local,
         sent_stage1,
-        trace,
+        guard,
     })
 }
 
@@ -181,7 +178,7 @@ pub struct PendingReduce<'a, T: Transport + ?Sized> {
     t: &'a T,
     local: Vec<f64>,
     sent_stage1: bool,
-    trace: OpenEdge,
+    guard: PhaseTimer<'a>,
 }
 
 impl<T: Transport + ?Sized> PendingReduce<'_, T> {
@@ -191,10 +188,8 @@ impl<T: Transport + ?Sized> PendingReduce<'_, T> {
     /// count match [`all_reduce_sum`] exactly.
     pub fn finish(mut self, scratch: &mut Vec<f64>) -> Result<(Vec<f64>, u32), TransportError> {
         let t = self.t;
-        let _g = kryst_obs::profile(kryst_obs::Phase::ReductionOverlap);
         let p = t.nranks();
         if p == 1 {
-            edge_end(t, self.trace.take(), SPLIT_PHASE_BIT);
             return Ok((self.local, 0));
         }
         let r = t.rank();
@@ -232,7 +227,7 @@ impl<T: Transport + ?Sized> PendingReduce<'_, T> {
             stages += 1;
         }
         debug_assert_eq!(stages, reduce_stages(p));
-        edge_end(t, self.trace.take(), u64::from(stages) | SPLIT_PHASE_BIT);
+        self.guard.set_detail(u64::from(stages));
         Ok((self.local, stages))
     }
 }
@@ -297,7 +292,7 @@ pub fn redistribute<T: Transport + ?Sized>(
             ),
         });
     }
-    let trace = edge_begin(t, TraceKind::Redistribute);
+    let mut guard = profile_edge(Phase::Redistribute, t.wire());
     let my_src = src.range(r);
     let my_dst = dst.range(r);
     out.clear();
@@ -337,7 +332,7 @@ pub fn redistribute<T: Transport + ?Sized>(
         }
         out[ov.start - my_dst.start..ov.end - my_dst.start].copy_from_slice(&scratch);
     }
-    edge_end(t, trace, out.len() as u64);
+    guard.set_detail(out.len() as u64);
     Ok(())
 }
 

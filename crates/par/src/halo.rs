@@ -90,7 +90,7 @@ impl HaloPlan {
         cols: usize,
         fill: f64,
     ) -> Result<usize, TransportError> {
-        let _g = kryst_obs::profile(kryst_obs::Phase::Halo);
+        let mut guard = kryst_obs::profile_edge(kryst_obs::Phase::Halo, t.wire());
         let r = t.rank();
         if t.nranks() != self.recv.len() {
             return Err(TransportError::Protocol {
@@ -101,7 +101,6 @@ impl HaloPlan {
                 ),
             });
         }
-        let trace = crate::trace::edge_begin(t, kryst_obs::span::TraceKind::Halo);
         // Sends first (buffered on every backend — deadlock-free).
         for (d, wants) in self.recv.iter().enumerate() {
             for &(owner, entries) in wants {
@@ -125,7 +124,7 @@ impl HaloPlan {
             }
             got += buf.len();
         }
-        crate::trace::edge_end(t, trace, got as u64);
+        guard.set_detail(got as u64);
         Ok(got)
     }
 

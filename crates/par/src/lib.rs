@@ -55,5 +55,5 @@ pub use report::{
     ValidationRow,
 };
 pub use spmd::{maybe_primitive_worker, reduce_stages, run_spmd, SpmdRun, SpmdWorld};
-pub use trace::{gather_timeline, SPLIT_PHASE_BIT};
+pub use trace::gather_timeline;
 pub use transport::{ChannelTransport, SocketTransport, Transport, TransportError, TransportKind};

@@ -8,11 +8,10 @@
 use crate::halo::HaloPlan;
 use crate::{CommStats, Layout};
 use kryst_dense::DMat;
-use kryst_obs::{profile, Event, HaloEvent, Phase, Recorder};
+use kryst_obs::{profile, Phase};
 use kryst_scalar::Scalar;
 use kryst_sparse::{Csr, RowSplit};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Storage/arithmetic precision of a preconditioner's internal data.
 ///
@@ -195,7 +194,6 @@ pub struct DistOp<S> {
     plan: HaloPlan,
     split: RowSplit,
     stats: Arc<CommStats>,
-    recorder: Option<Arc<dyn Recorder>>,
     mf: Option<Arc<dyn ApplyRows<S>>>,
 }
 
@@ -214,7 +212,6 @@ impl<S: Scalar> DistOp<S> {
             plan,
             split,
             stats,
-            recorder: None,
             mf: None,
         }
     }
@@ -237,18 +234,6 @@ impl<S: Scalar> DistOp<S> {
     /// Whether a matrix-free applier is installed.
     pub fn is_matrix_free(&self) -> bool {
         self.mf.is_some()
-    }
-
-    /// Attach an event recorder: every `apply` emits a [`HaloEvent`]
-    /// describing the halo exchange the distributed SpMM performs.
-    pub fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
-        self.recorder = if rec.enabled() { Some(rec) } else { None };
-    }
-
-    /// Builder-style variant of [`DistOp::set_recorder`].
-    pub fn with_recorder(mut self, rec: Arc<dyn Recorder>) -> Self {
-        self.set_recorder(rec);
-        self
     }
 
     /// The wrapped matrix.
@@ -299,7 +284,6 @@ impl<S: Scalar> LinOp<S> for DistOp<S> {
         self.a.nrows()
     }
     fn apply(&self, x: &DMat<S>, y: &mut DMat<S>) {
-        let t0 = Instant::now();
         let p = x.ncols();
         let bytes = self.plan.bytes_per_exchange(p, Self::bytes_per_scalar());
         // 2 flops per stored nonzero per RHS column (multiply–add); complex
@@ -333,14 +317,6 @@ impl<S: Scalar> LinOp<S> for DistOp<S> {
             self.stats
                 .record_p2p(self.plan.messages_per_exchange, bytes);
             kernel.apply_rows(x, y, &self.split.boundary);
-        }
-        if let Some(rec) = &self.recorder {
-            rec.record(&Event::Halo(HaloEvent {
-                messages: self.plan.messages_per_exchange as u64,
-                bytes: bytes as u64,
-                cols: p,
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            }));
         }
     }
     fn bytes_per_apply(&self) -> Option<usize> {

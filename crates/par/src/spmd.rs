@@ -279,12 +279,11 @@ where
         ("KRYST_SPMD_CALL".to_string(), call_idx.to_string()),
         ("KRYST_SPMD_THREAD".to_string(), thread_name.to_string()),
     ];
-    // Tracing may have been enabled at runtime (set_trace_enabled) rather
-    // than via the environment; worker processes must agree, or the logical
+    // The instrumentation level may have been set at runtime rather than
+    // via the environment; worker processes must agree, or the logical
     // clocks diverge across ranks.
-    if kryst_obs::span::trace_enabled() {
-        extra_env.push(("KRYST_TRACE".to_string(), "1".to_string()));
-    }
+    let level = kryst_obs::Profiler::global().level();
+    extra_env.push(("KRYST_PROF".to_string(), level.env_value().to_string()));
     let (t, mut children) = spawn_world(nranks, "worker", None, &args, &extra_env)?;
 
     // Rank 0 runs on the calling thread, which may be long-lived: reset so

@@ -1,56 +1,24 @@
-//! Cross-rank timeline gather and collective span instrumentation.
+//! Cross-rank timeline gather.
 //!
-//! The recording side lives in `kryst_obs::span` (bounded per-rank rings,
-//! local + logical clocks); this module supplies the two pieces that need a
-//! [`Transport`]:
-//!
-//! * [`edge_begin`]/[`edge_end`] — open and close a *collective-edge* span
-//!   around a collective call site, attaching the wire counters the
-//!   transport measured inside the span (payload bytes and messages this
-//!   rank actually sent). One relaxed load and no clock read when tracing is
-//!   disabled, so solver results stay bit-identical on/off.
-//! * [`gather_timeline`] — at solve end (or on demand), every rank drains
-//!   its ring and ships it to rank 0 **over the transport's control plane**
-//!   (`send_ctl`/`recv_ctl`, excluded from wire counters so the gather never
-//!   perturbs the measured traffic); rank 0 merges the streams into one
-//!   [`Timeline`]. A dead peer becomes an entry in `Timeline::missing` — a
-//!   partial timeline, never a panic.
+//! The recording side lives in `kryst_obs` (the [`kryst_obs::profile`]
+//! guards fill bounded per-rank span rings at `KRYST_PROF=trace`; collective
+//! call sites use [`kryst_obs::profile_edge`] with the transport's wire
+//! counters so their spans carry the logical clock and the bytes and
+//! messages this rank put on the wire). This module supplies the piece that
+//! needs a [`Transport`]: [`gather_timeline`] — at solve end (or on demand),
+//! every rank drains its ring and ships it to rank 0 **over the transport's
+//! control plane** (`send_ctl`/`recv_ctl`, excluded from wire counters so
+//! the gather never perturbs the measured traffic); rank 0 merges the
+//! streams into one [`Timeline`]. A dead peer becomes an entry in
+//! `Timeline::missing` — a partial timeline, never a panic.
 //!
 //! If `KRYST_TRACE_TIMELINE=path` is set, rank 0 also writes the merged
 //! timeline as Chrome-trace JSON (one track per rank, flow events linking
 //! matching collective spans) to `path` as part of the gather.
 
 use crate::transport::{Transport, TransportError};
-use kryst_obs::span::{self, OpenSpan, TraceKind};
+use kryst_obs::span;
 use kryst_obs::timeline::{RankStream, Timeline};
-use kryst_obs::WireSnapshot;
-
-/// `detail` bit marking a [`TraceKind::Reduction`] span as split-phase
-/// (started by `ireduce_start`, finished later); the low 32 bits remain the
-/// butterfly stage count.
-pub const SPLIT_PHASE_BIT: u64 = 1 << 32;
-
-/// An open collective-edge span plus the wire counters at entry; `None`
-/// when tracing is disabled.
-pub type OpenEdge = Option<(OpenSpan, WireSnapshot)>;
-
-/// Open a collective-edge span (bumps this rank's logical clock) and
-/// snapshot the endpoint's wire counters. Returns `None` — after one
-/// relaxed load, with no clock read — when tracing is disabled.
-#[inline]
-pub fn edge_begin<T: Transport + ?Sized>(t: &T, kind: TraceKind) -> OpenEdge {
-    let open = span::begin_edge(kind)?;
-    Some((open, t.wire().snapshot()))
-}
-
-/// Close a collective-edge span, recording the payload bytes and messages
-/// this rank put on the wire since [`edge_begin`]. No-op for `None`.
-#[inline]
-pub fn edge_end<T: Transport + ?Sized>(t: &T, open: OpenEdge, detail: u64) {
-    let Some((open, at_entry)) = open else { return };
-    let delta = t.wire().snapshot().since(&at_entry);
-    span::end(Some(open), delta.bytes_sent, delta.msgs_sent, detail);
-}
 
 /// Gather every rank's drained span ring onto rank 0 and merge them into a
 /// [`Timeline`]. Collective over the transport's control plane: every rank
@@ -110,14 +78,21 @@ mod tests {
     use crate::spmd::run_spmd;
     use crate::transport::TransportKind;
 
-    // The trace flag is process-global; serialize the tests that flip it.
-    fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use kryst_obs::{profile, Level, Phase, Profiler};
+
+    // The level is process-global; serialize the tests that flip it.
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        span::set_trace_enabled(true);
+        Profiler::global().set_level(level);
         let r = f();
-        span::set_trace_enabled(false);
+        Profiler::global().set_level(Level::Off);
         r
+    }
+
+    fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
+        at_level(Level::Trace, f)
     }
 
     #[test]
@@ -129,7 +104,7 @@ mod tests {
                 let mut scratch = Vec::new();
                 all_reduce_sum(t, &mut local, &mut scratch)?;
                 {
-                    let _g = span::traced(TraceKind::PrecondApply);
+                    let _g = profile(Phase::Precond);
                     std::hint::black_box(local[0] * 2.0);
                 }
                 let tl = gather_timeline(t)?;
@@ -148,10 +123,10 @@ mod tests {
             let groups = tl.collectives();
             assert_eq!(groups.len(), 1);
             assert_eq!(groups[0].members.len(), p);
-            assert_eq!(groups[0].kind, TraceKind::Reduction);
+            assert_eq!(groups[0].kind, Phase::Reduction);
             for s in &tl.streams {
                 assert_eq!(s.spans.len(), 2);
-                assert_eq!(s.spans[1].kind, TraceKind::PrecondApply);
+                assert_eq!(s.spans[1].kind, Phase::Precond);
             }
         });
     }
@@ -165,7 +140,7 @@ mod tests {
                 // returns without participating. Survivors use only local
                 // spans (a collective would hang on the dead peer).
                 {
-                    let _g = span::traced(TraceKind::PrecondApply);
+                    let _g = profile(Phase::Precond);
                     std::hint::black_box(t.rank());
                 }
                 if t.rank() == 1 {
@@ -204,7 +179,7 @@ mod tests {
             let tl = Timeline::decode(&run.results[0]).unwrap();
             for s in &tl.streams {
                 let sp = &s.spans[0];
-                assert_eq!(sp.kind, TraceKind::Reduction);
+                assert_eq!(sp.kind, Phase::Reduction);
                 // P = 2 butterfly: each rank sends one 3-double message.
                 assert_eq!(sp.msgs, 1);
                 assert_eq!(sp.bytes, 24);
@@ -215,13 +190,16 @@ mod tests {
 
     #[test]
     fn disabled_tracing_gathers_empty_streams() {
-        span::set_trace_enabled(false);
-        let run = run_spmd(TransportKind::Channel, 2, |t| {
-            let tl = gather_timeline(t)?;
-            match tl {
-                Some(tl) => Ok(tl.encode()),
-                None => Ok(Vec::new()),
-            }
+        let run = at_level(Level::Prof, || {
+            run_spmd(TransportKind::Channel, 2, |t| {
+                let mut local = vec![1.0];
+                all_reduce_sum(t, &mut local, &mut Vec::new())?;
+                let tl = gather_timeline(t)?;
+                match tl {
+                    Some(tl) => Ok(tl.encode()),
+                    None => Ok(Vec::new()),
+                }
+            })
         })
         .expect("run succeeds");
         let tl = Timeline::decode(&run.results[0]).unwrap();

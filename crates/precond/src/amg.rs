@@ -14,14 +14,13 @@ use crate::chebyshev::Chebyshev;
 use crate::jacobi::Jacobi;
 use crate::smoother;
 use kryst_dense::{qr::HouseholderQr, DMat};
-use kryst_obs::{Event, PrecondApplyEvent, Recorder};
+use kryst_obs::{profile, Phase};
 use kryst_par::collective::{redistribute, subset_layout};
 use kryst_par::{Layout, PrecondOp, PrecondPrecision, Transport, TransportError};
 use kryst_rt::par::{for_each_range, map_range, max_threads};
 use kryst_scalar::{Demote, Real, Scalar};
 use kryst_sparse::{ops, Coo, Csr, CsrLo, PrecondWorkspace, SparseDirect};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Mutex;
 
 /// Which smoother runs on each level.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,7 +142,6 @@ pub struct Amg<S: Demote> {
     /// Agglomeration sizing rule, kept from [`AmgOpts`] for
     /// [`Amg::coarse_agglom`].
     agglom_rows_per_rank: usize,
-    recorder: Option<Arc<dyn Recorder>>,
     /// Per-level scratch pool: after one warm-up cycle every V-cycle apply
     /// draws all its level vectors from here and allocates nothing.
     ws: Mutex<PrecondWorkspace<S>>,
@@ -214,26 +212,29 @@ impl CoarseAgglom {
         local_rows: &[f64],
         solve: impl FnOnce(&mut [f64]),
     ) -> Result<Vec<f64>, TransportError> {
-        let _g = kryst_obs::profile(kryst_obs::Phase::CoarseAgglom);
         let src = Layout::even(self.coarse_n, self.ranks);
         let dst = subset_layout(self.coarse_n, self.ranks, self.subset);
-        // Local (per-rank) spans around the three stages; the nested
-        // redistribute calls emit the collective-edge spans that carry wire
+        // Local (per-rank) guards around the three stages; the nested
+        // redistribute calls are the collective edges that carry wire
         // deltas and align clocks, so these stay seq-less to avoid counting
         // the same edge twice.
         let mut gathered = Vec::new();
-        let sp = kryst_obs::span::begin(kryst_obs::span::TraceKind::CoarseGather);
-        redistribute(t, &src, &dst, local_rows, &mut gathered)?;
-        kryst_obs::span::end(sp, 0, 0, gathered.len() as u64);
-        let sp = kryst_obs::span::begin(kryst_obs::span::TraceKind::CoarseSolve);
-        if !gathered.is_empty() {
-            solve(&mut gathered);
+        {
+            let mut g = profile(Phase::CoarseGather);
+            redistribute(t, &src, &dst, local_rows, &mut gathered)?;
+            g.set_detail(gathered.len() as u64);
         }
-        kryst_obs::span::end(sp, 0, 0, gathered.len() as u64);
+        {
+            let mut g = profile(Phase::CoarseSolve);
+            if !gathered.is_empty() {
+                solve(&mut gathered);
+            }
+            g.set_detail(gathered.len() as u64);
+        }
         let mut out = Vec::new();
-        let sp = kryst_obs::span::begin(kryst_obs::span::TraceKind::CoarseScatter);
+        let mut g = profile(Phase::CoarseScatter);
         redistribute(t, &dst, &src, &gathered, &mut out)?;
-        kryst_obs::span::end(sp, 0, 0, out.len() as u64);
+        g.set_detail(out.len() as u64);
         Ok(out)
     }
 }
@@ -325,7 +326,6 @@ impl<S: Demote> Amg<S> {
             variable,
             n,
             agglom_rows_per_rank: opts.agglom_rows_per_rank,
-            recorder: None,
             ws: Mutex::new(PrecondWorkspace::new()),
         };
         if precision == PrecondPrecision::Single && S::LOSSY && !variable {
@@ -338,18 +338,6 @@ impl<S: Demote> Amg<S> {
             this.precision = PrecondPrecision::Single;
         }
         this
-    }
-
-    /// Attach an event recorder: every V-cycle application emits a
-    /// [`PrecondApplyEvent`] (`kind = "amg-vcycle"`, `detail` = level count).
-    pub fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
-        self.recorder = if rec.enabled() { Some(rec) } else { None };
-    }
-
-    /// Builder-style variant of [`Amg::set_recorder`].
-    pub fn with_recorder(mut self, rec: Arc<dyn Recorder>) -> Self {
-        self.set_recorder(rec);
-        self
     }
 
     /// Number of levels (including the coarsest).
@@ -380,11 +368,11 @@ impl<S: Demote> Amg<S> {
         x: &mut DMat<S>,
         ws: &mut PrecondWorkspace<S>,
     ) {
-        let _t = kryst_obs::profile(kryst_obs::Phase::PrecondLevel(l));
-        let _agg = self
-            .coarse
-            .agglomerated
-            .then(|| kryst_obs::profile(kryst_obs::Phase::CoarseAgglom));
+        let _t = profile(if self.coarse.agglomerated {
+            Phase::CoarseAgglom
+        } else {
+            Phase::PrecondLevel(l)
+        });
         let mut scratch = ws.take(b.nrows(), b.ncols());
         self.coarse.f.solve_multi_into(b, x, &mut scratch, 8, 1);
         ws.put(scratch);
@@ -501,9 +489,8 @@ impl<S: Demote> Amg<S> {
             return;
         }
         let level = &self.levels[l];
-        // Time this level's own work exclusively: the timer is dropped
-        // around the recursive descent so nested levels don't double-count.
-        let down = kryst_obs::Profiler::global().timed(kryst_obs::Phase::PrecondLevel(l));
+        // Exclusive accounting: the coarser levels' guards are subtracted.
+        let _t = profile(Phase::PrecondLevel(l));
         // Pre-smooth.
         self.smooth_ws(l, b, x, ws);
         // Residual and restriction.
@@ -516,9 +503,7 @@ impl<S: Demote> Amg<S> {
         let mut rc = ws.take(pt.nrows(), p);
         pt.spmm(&r, &mut rc);
         let mut xc = ws.take(pt.nrows(), p);
-        drop(down);
         self.vcycle_ws(l + 1, &rc, &mut xc, ws);
-        let _up = kryst_obs::profile(kryst_obs::Phase::PrecondLevel(l));
         // Prolongate (reusing the residual buffer) and correct.
         level.p.as_ref().unwrap().spmm(&xc, &mut r);
         x.axpy(S::one(), &r);
@@ -625,7 +610,7 @@ impl<S: Demote> Amg<S> {
             return;
         }
         let lo = &lo_levels[l];
-        let down = kryst_obs::Profiler::global().timed(kryst_obs::Phase::PrecondLevel(l));
+        let _t = profile(Phase::PrecondLevel(l));
         self.smooth_lo(lo, b, x, ws);
         let p = b.ncols();
         let mut r = ws.take(lo.a.nrows(), p);
@@ -635,9 +620,7 @@ impl<S: Demote> Amg<S> {
         let mut rc = ws.take(lo.pt.nrows(), p);
         lo.pt.spmm(&r, &mut rc);
         let mut xc = ws.take(lo.pt.nrows(), p);
-        drop(down);
         self.vcycle_lo_ws(lo_levels, l + 1, &rc, &mut xc, ws);
-        let _up = kryst_obs::profile(kryst_obs::Phase::PrecondLevel(l));
         lo.p.spmm(&xc, &mut r);
         x.axpy(S::one(), &r);
         ws.put(rc);
@@ -693,30 +676,16 @@ impl<S: Demote> PrecondOp<S> for Amg<S> {
         self.n
     }
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
-        let _t = kryst_obs::profile(kryst_obs::Phase::Precond);
-        let _sp = kryst_obs::traced(kryst_obs::TraceKind::PrecondApply);
-        // Only read the clock when a recorder is attached (`set_recorder`
-        // drops disabled recorders): tracing off ⇒ no `Instant::now()`, no
-        // event construction.
-        let t0 = self.recorder.as_ref().map(|_| Instant::now());
+        // The per-level guards nested inside claim the cycle work.
+        let _t = profile(match self.lo_levels {
+            Some(_) => Phase::PrecondLp,
+            None => Phase::Precond,
+        });
         z.set_zero();
-        {
-            let mut ws = self.ws.lock().unwrap();
-            match &self.lo_levels {
-                Some(lo) => {
-                    let _lp = kryst_obs::profile(kryst_obs::Phase::PrecondLp);
-                    self.vcycle_lo_ws(lo, 0, r, z, &mut ws);
-                }
-                None => self.vcycle_ws(0, r, z, &mut ws),
-            }
-        }
-        if let (Some(rec), Some(t0)) = (self.recorder.as_ref(), t0) {
-            rec.record(&Event::PrecondApply(PrecondApplyEvent {
-                kind: "amg-vcycle",
-                cols: r.ncols(),
-                detail: self.levels.len(),
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            }));
+        let mut ws = self.ws.lock().unwrap();
+        match &self.lo_levels {
+            Some(lo) => self.vcycle_lo_ws(lo, 0, r, z, &mut ws),
+            None => self.vcycle_ws(0, r, z, &mut ws),
         }
     }
     fn is_variable(&self) -> bool {

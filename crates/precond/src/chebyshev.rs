@@ -164,7 +164,6 @@ impl<S: Scalar> PrecondOp<S> for Chebyshev<S> {
     }
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
         let _t = kryst_obs::profile(kryst_obs::Phase::Precond);
-        let _sp = kryst_obs::traced(kryst_obs::TraceKind::PrecondApply);
         z.set_zero();
         self.smooth(r, z);
     }

@@ -641,13 +641,13 @@ impl<S: Demote> PrecondOp<S> for Ilu0<S> {
         self.factors.nrows()
     }
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
-        let _t = kryst_obs::profile(kryst_obs::Phase::Precond);
-        let _sp = kryst_obs::traced(kryst_obs::TraceKind::PrecondApply);
+        // Low-precision applies are charged to `precond_lp` instead, so
+        // reports can separate the f32-storage path.
+        let _t = kryst_obs::profile(match self.lo {
+            Some(_) => kryst_obs::Phase::PrecondLp,
+            None => kryst_obs::Phase::Precond,
+        });
         if let Some(lo) = &self.lo {
-            // Nested attribution: the low-precision sweeps also show up
-            // under `precond_lp` so reports can separate the f32-storage
-            // portion of the apply.
-            let _lp = kryst_obs::profile(kryst_obs::Phase::PrecondLp);
             self.apply_lo(lo, r, z);
         } else {
             z.copy_from(r);

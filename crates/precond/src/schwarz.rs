@@ -15,7 +15,6 @@
 //!   paper uses for Maxwell (see DESIGN.md).
 
 use kryst_dense::DMat;
-use kryst_obs::{Event, PrecondApplyEvent, Recorder};
 use kryst_par::{CommStats, PrecondOp, PrecondPrecision};
 use kryst_rt::par::{for_each_range, map_vec};
 use kryst_scalar::{Demote, Scalar};
@@ -24,7 +23,6 @@ use kryst_sparse::partition::{
 };
 use kryst_sparse::{Csr, SparseDirect};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Schwarz flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,10 +123,8 @@ fn reshape<S: Scalar>(m: &mut DMat<S>, nr: usize, nc: usize) {
 pub struct Schwarz<S: Demote> {
     subs: Vec<Subdomain<S>>,
     n: usize,
-    variant: SchwarzVariant,
     precision: PrecondPrecision,
     stats: Option<Arc<CommStats>>,
-    recorder: Option<Arc<dyn Recorder>>,
     /// Total triangular-solve flops per single-RHS application (for the cost
     /// model).
     flops_per_rhs: usize,
@@ -221,14 +217,12 @@ impl<S: Demote> Schwarz<S> {
         Self {
             subs,
             n,
-            variant: opts.variant,
             precision: if low {
                 PrecondPrecision::Single
             } else {
                 PrecondPrecision::Full
             },
             stats: None,
-            recorder: None,
             flops_per_rhs,
         }
     }
@@ -237,26 +231,6 @@ impl<S: Demote> Schwarz<S> {
     pub fn with_stats(mut self, stats: Arc<CommStats>) -> Self {
         self.stats = Some(stats);
         self
-    }
-
-    /// Emit a [`PrecondApplyEvent`] per application to `recorder`.
-    pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Builder form of [`Schwarz::set_recorder`].
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.set_recorder(recorder);
-        self
-    }
-
-    /// Stable trace name of the variant.
-    fn kind_name(&self) -> &'static str {
-        match self.variant {
-            SchwarzVariant::Asm => "schwarz-asm",
-            SchwarzVariant::Ras => "schwarz-ras",
-            SchwarzVariant::Oras => "schwarz-oras",
-        }
     }
 
     /// Number of subdomains.
@@ -287,14 +261,11 @@ impl<S: Demote> PrecondOp<S> for Schwarz<S> {
     }
 
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
-        let _t = kryst_obs::profile(kryst_obs::Phase::Precond);
-        let _sp = kryst_obs::traced(kryst_obs::TraceKind::PrecondApply);
-        let _lp = (self.precision == PrecondPrecision::Single)
-            .then(|| kryst_obs::profile(kryst_obs::Phase::PrecondLp));
+        let _t = kryst_obs::profile(match self.precision {
+            PrecondPrecision::Single => kryst_obs::Phase::PrecondLp,
+            PrecondPrecision::Full => kryst_obs::Phase::Precond,
+        });
         let p = r.ncols();
-        // Clock only when tracing is actually on.
-        let rec = self.recorder.as_ref().filter(|rc| rc.enabled());
-        let t0 = rec.map(|_| Instant::now());
         if let Some(stats) = &self.stats {
             // Each subdomain exchanges its overlap with neighbors before and
             // after the local solve; charge 2 messages per subdomain as a
@@ -373,14 +344,6 @@ impl<S: Demote> PrecondOp<S> for Schwarz<S> {
                     }
                 }
             }
-        }
-        if let Some(rec) = rec {
-            rec.record(&Event::PrecondApply(PrecondApplyEvent {
-                kind: self.kind_name(),
-                cols: p,
-                detail: self.subs.len(),
-                wall_ns: t0.expect("t0 set when tracing").elapsed().as_nanos() as u64,
-            }));
         }
     }
 

@@ -17,16 +17,32 @@
 //! 3. **Per-rank reconciliation** — splitting the global communication
 //!    counters over ranks via the halo plan reproduces the totals exactly
 //!    at P ∈ {2, 4, 8}, and the published imbalance gauges match.
+//! 4. **Attribution** — a GCRO-DR solve's deflation eigensolves are charged
+//!    to `recycle_setup` (their dense kernels nested as `small_dense`), and
+//!    the exclusive phase totals add up to no more than the solve's wall
+//!    time.
+//!
+//! The profiler is process-global, so every test here takes [`serial`]: a
+//! solve on another test thread would otherwise record into the phase
+//! totals one test asserts on.
 
 use kryst_core::{gcrodr, gmres, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::{
-    diags_of, iteration_events, DiagKind, Event, MetricsRegistry, Profiler, Recorder, RingRecorder,
+    diags_of, iteration_events, spans_of, DiagKind, Event, MetricsRegistry, Phase, Profiler,
+    Recorder, RingRecorder, SpanKind,
 };
 use kryst_par::{per_rank_comm, publish_imbalance, CommStats, DistOp, IdentityPrecond};
 use kryst_rt::rng::Rng64;
 use kryst_sparse::{Coo, Csr};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
+
+/// Serializes the tests of this binary (see the module docs).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn laplace1d(n: usize) -> Csr<f64> {
     let mut c = Coo::new(n, n);
@@ -110,6 +126,7 @@ fn trace_fingerprint(events: &[Event], x: &DMat<f64>) -> Vec<u64> {
 /// with the profiler off and on: the profiler only ever reads the clock.
 #[test]
 fn profiler_on_off_traces_bit_identical() {
+    let _serial = serial();
     let n = 400;
     let a = laplace1d(n);
     let b = pinned_rhs(n, 42);
@@ -181,6 +198,7 @@ fn profiler_on_off_traces_bit_identical() {
 /// stagnating case: unpreconditioned GMRES(30) on the 1-D Laplacian.
 #[test]
 fn stagnation_diag_fires_on_gmres30_laplace400() {
+    let _serial = serial();
     let n = 400;
     let a = laplace1d(n);
     let b = pinned_rhs(n, 42);
@@ -222,6 +240,7 @@ fn stagnation_diag_fires_on_gmres30_laplace400() {
 /// ~144 iterations with a monotone-enough residual.
 #[test]
 fn no_stagnation_diag_on_converging_convdiff() {
+    let _serial = serial();
     let a = convdiff2d(32, 0.001, 1.0, 0.3);
     let n = a.nrows();
     let id = IdentityPrecond::new(n);
@@ -255,6 +274,7 @@ fn no_stagnation_diag_on_converging_convdiff() {
 /// affected cycle and still converge via the pseudo-block fallback.
 #[test]
 fn rank_collapse_diag_fires_on_duplicate_rhs_gcrodr() {
+    let _serial = serial();
     let n = 200;
     let a = laplace1d(n);
     let id = IdentityPrecond::new(n);
@@ -296,6 +316,7 @@ fn rank_collapse_diag_fires_on_duplicate_rhs_gcrodr() {
 /// agree with the per-rank extrema.
 #[test]
 fn per_rank_imbalance_reconciles_with_comm_snapshot() {
+    let _serial = serial();
     let n = 400;
     let a = laplace1d(n);
     let b = pinned_rhs(n, 42);
@@ -340,4 +361,66 @@ fn per_rank_imbalance_reconciles_with_comm_snapshot() {
         assert!(text.contains("solve_p2p_bytes_max"));
         assert!(text.contains("solve_reductions_avg"));
     }
+}
+
+/// One GCRO-DR(30,10) solve with the profiler on: every setup, refresh, and
+/// eigensolve span holds exactly one `recycle_setup` sample, the
+/// eigensolves' time is covered by `recycle_setup` plus the `small_dense`
+/// kernels nested inside them, and the exclusive phase totals never exceed
+/// the measured wall time of the solve.
+#[test]
+fn gcrodr_eigensolve_charged_to_recycle_setup_and_phases_add_up() {
+    let _serial = serial();
+    let n = 400;
+    let a = laplace1d(n);
+    let b = pinned_rhs(n, 42);
+    let id = IdentityPrecond::new(n);
+    let ring = Arc::new(RingRecorder::new(1 << 16));
+    let opts = ring_opts(
+        SolveOpts {
+            rtol: 1e-8,
+            restart: 30,
+            recycle: 10,
+            max_iters: 5000,
+            ..Default::default()
+        },
+        &ring,
+    );
+    let prof = Profiler::global();
+    prof.set_enabled(true);
+    prof.reset();
+    let mut ctx = SolverContext::new();
+    let mut x = DMat::zeros(n, 1);
+    let t = Instant::now();
+    let res = gcrodr::solve(&a, &id, &b, &mut x, &opts, &mut ctx);
+    let wall_ns = t.elapsed().as_nanos() as u64;
+    prof.set_enabled(false);
+    assert!(res.converged);
+
+    let snap = prof.snapshot();
+    let events = ring.events();
+    let eig = spans_of(&events, SpanKind::Eigensolve);
+    assert!(!eig.is_empty(), "the solve ran a deflation eigensolve");
+    let recycle = snap
+        .phase(Phase::RecycleSetup)
+        .expect("recycle_setup measured");
+    let spans = spans_of(&events, SpanKind::Setup).len()
+        + spans_of(&events, SpanKind::RecycleRefresh).len()
+        + eig.len();
+    assert_eq!(
+        recycle.count as usize, spans,
+        "one recycle_setup sample per setup/refresh/eigensolve span"
+    );
+    let small_dense = snap.phase(Phase::SmallDense).map_or(0, |p| p.total_ns);
+    let eig_ns: u64 = eig.iter().map(|s| s.wall_ns).sum();
+    assert!(
+        recycle.total_ns + small_dense >= eig_ns,
+        "recycle_setup {} + small_dense {small_dense} < eigensolve spans {eig_ns}",
+        recycle.total_ns
+    );
+    assert!(
+        snap.total_ns() <= wall_ns,
+        "exclusive phase totals {} exceed the solve's wall time {wall_ns}",
+        snap.total_ns()
+    );
 }

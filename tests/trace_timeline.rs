@@ -2,19 +2,18 @@
 //! gathered over both transport backends, merged into one rank×time
 //! timeline, exported as a Chrome trace, and analyzed for stragglers.
 //!
-//! The trace flag is process-global, so every test that flips it serializes
-//! through [`with_tracing`]. Socket runs re-exec this test binary as worker
-//! processes (the `run_spmd` worker hook keys on the libtest thread name);
-//! `run_socket` forwards `KRYST_TRACE=1` to workers whenever tracing was
-//! enabled at runtime, so worker logical clocks agree with the parent's.
+//! The instrumentation level is process-global, so every test that flips it
+//! serializes through [`with_tracing`]. Socket runs re-exec this test binary
+//! as worker processes (the `run_spmd` worker hook keys on the libtest
+//! thread name); `run_socket` forwards the runtime level to workers as
+//! `KRYST_PROF`, so worker logical clocks agree with the parent's.
 
 use kryst_bench::tracedemo::skewed_workload;
 use kryst_core::{gmres, SolveOpts};
 use kryst_dense::DMat;
 use kryst_obs::json::JsonValue;
-use kryst_obs::span::TraceKind;
 use kryst_obs::timeline::Timeline;
-use kryst_obs::MetricsRegistry;
+use kryst_obs::{Level, MetricsRegistry, Phase, Profiler};
 use kryst_par::{
     gather_timeline, run_spmd, IdentityPrecond, SpmdRun, Transport, TransportError, TransportKind,
 };
@@ -22,16 +21,18 @@ use kryst_rt::rng::Rng64;
 use kryst_sparse::{Coo, Csr};
 use std::sync::Mutex;
 
-/// Serializes every test that touches the process-global trace flag.
+/// Serializes every test that touches the process-global level.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Run `f` with tracing forced to `on`, restoring the previous state.
+/// Run `f` at the trace level (`on`) or with instrumentation off, restoring
+/// the previous level.
 fn with_tracing<T>(on: bool, f: impl FnOnce() -> T) -> T {
     let _g = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let was = kryst_obs::trace_enabled();
-    kryst_obs::set_trace_enabled(on);
+    let prof = Profiler::global();
+    let was = prof.level();
+    prof.set_level(if on { Level::Trace } else { Level::Off });
     let out = f();
-    kryst_obs::set_trace_enabled(was);
+    prof.set_level(was);
     out
 }
 
@@ -250,7 +251,7 @@ fn socket_gather_survives_injected_peer_death() {
     let err = with_tracing(true, || {
         run_spmd(TransportKind::Socket, 3, move |t| {
             {
-                let _sp = kryst_obs::traced(TraceKind::PrecondApply);
+                let _sp = kryst_obs::profile(Phase::Precond);
                 std::hint::black_box((0..500).map(|i| i as f64).sum::<f64>());
             }
             if t.rank() == 1 {
@@ -276,7 +277,7 @@ fn socket_gather_survives_injected_peer_death() {
     assert_eq!(tl.streams.len(), 2, "surviving streams gathered");
     for s in &tl.streams {
         assert_eq!(s.spans.len(), 1, "rank {}: its one local span", s.rank);
-        assert_eq!(s.spans[0].kind, TraceKind::PrecondApply);
+        assert_eq!(s.spans[0].kind, Phase::Precond);
     }
     let _ = std::fs::remove_file(&out);
 }
